@@ -42,8 +42,8 @@ class NodeDopplers:
     f_d: float
 
     def __post_init__(self):
-        if min(self.f_s, self.f_r, self.f_d) < 0.0:
-            raise ValueError("node Dopplers must be nonnegative")
+        if not all(math.isfinite(f) and f >= 0.0 for f in (self.f_s, self.f_r, self.f_d)):
+            raise ValueError("node Dopplers must be finite and nonnegative")
 
     @property
     def all_static(self) -> bool:
@@ -64,8 +64,8 @@ class LinkGains:
     omega_z: float = 1.0
 
     def __post_init__(self):
-        if min(self.omega_x, self.omega_y, self.omega_z) <= 0.0:
-            raise ValueError("mean squared gains must be strictly positive")
+        if not all(math.isfinite(o) and o > 0.0 for o in (self.omega_x, self.omega_y, self.omega_z)):
+            raise ValueError("mean squared gains must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,14 @@ class Scenario:
     y0: float | None = None
 
     def __post_init__(self):
-        if self.gamma0 <= 0.0:
-            raise ValueError("gamma0 must be a positive linear SNR")
-        if self.r0 < 0.0:
-            raise ValueError("r0 must be nonnegative")
-        if self.y0 is not None and self.y0 <= 0.0:
-            raise ValueError("explicit y0 must be strictly positive")
+        # NaN fails every comparison and inf overflows the thresholds, so both
+        # are refused here rather than deep inside a metric
+        if not (math.isfinite(self.gamma0) and self.gamma0 > 0.0):
+            raise ValueError("gamma0 must be a finite positive linear SNR")
+        if not (math.isfinite(self.r0) and self.r0 >= 0.0):
+            raise ValueError("r0 must be finite and nonnegative")
+        if self.y0 is not None and not (math.isfinite(self.y0) and self.y0 > 0.0):
+            raise ValueError("explicit y0 must be finite and strictly positive")
 
 
 @dataclass(frozen=True)

@@ -23,15 +23,6 @@ from .channel import LinkGains, NodeDopplers, Scenario
 from .exact_metrics import Protocol, metrics
 from .mc_sim import TraceConfig, validate
 
-_PROTOCOL_ORDER = [Protocol.DIRECT, Protocol.AF, Protocol.DF, Protocol.SR]
-_TABLE1_ORDER = [
-    Table1System.DIRECT,
-    Table1System.SIMO_1X2,
-    Table1System.AF,
-    Table1System.DF,
-    Table1System.SR,
-]
-
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
@@ -41,6 +32,15 @@ def _fmt(x) -> str:
     if x is None:
         return "nan"
     return f"{x:.9g}"
+
+
+def _fmt_metrics(rate_f: float, dur_f: float, *results) -> list[str]:
+    """p_out, aor, aod of each result (exact, asym or empirical), in the chosen units."""
+    cells = []
+    for r in results:
+        aod = None if r.aod is None else r.aod * dur_f
+        cells += [_fmt(r.p_out), _fmt(r.aor * rate_f), _fmt(aod)]
+    return cells
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -209,7 +209,7 @@ class _Options:
             chosen = _parse_protocols(self.protocols)
         except ValueError as exc:
             self._parser.error(str(exc))
-        return [p for p in _PROTOCOL_ORDER if p in chosen]
+        return [p for p in Protocol if p in chosen]
 
     def snr_points(self, need_range: bool = False) -> list[float]:
         if self.snr_db_range is not None:
@@ -264,25 +264,14 @@ def _cmd_metrics(opt: _Options) -> int:
     rows = [cols]
     for protocol in opt.protocol_list():
         m = metrics(scenario, protocol)
-        a = asym(scenario, protocol)
         row = [
             protocol.value,
-            _fmt(m.p_out),
-            _fmt(m.aor * rate_f),
-            _fmt(None if m.aod is None else m.aod * dur_f),
-            _fmt(a.p_out),
-            _fmt(a.aor * rate_f),
-            _fmt(a.aod * dur_f),
+            *_fmt_metrics(rate_f, dur_f, m, asym(scenario, protocol)),
             _fmt(None if m.aor == 0.0 else 1.0 / (m.aor * rate_f)),
         ]
         if opt.mc:
             rep = validate(scenario, protocol, opt.trace_config())
-            e = rep.empirical
-            row += [
-                _fmt(e.p_out),
-                _fmt(e.aor * rate_f),
-                _fmt(None if e.aod is None else e.aod * dur_f),
-            ]
+            row += _fmt_metrics(rate_f, dur_f, rep.empirical)
         rows.append(row)
     widths = [max(len(r[i]) for r in rows) for i in range(len(cols))]
     print(f"# snr_db={_fmt(snr_db)} rate={_fmt(opt.rate)} normalize={opt.normalize}")
@@ -299,22 +288,10 @@ def _cmd_sweep(opt: _Options) -> int:
     for snr_db in points:
         scenario = opt.scenario(snr_db)
         for protocol in sorted(protocols, key=lambda p: p.value):
-            m = metrics(scenario, protocol)
-            a = asym(scenario, protocol)
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(snr_db),
-                        protocol.value,
-                        _fmt(m.p_out),
-                        _fmt(m.aor * rate_f),
-                        _fmt(None if m.aod is None else m.aod * dur_f),
-                        _fmt(a.p_out),
-                        _fmt(a.aor * rate_f),
-                        _fmt(a.aod * dur_f),
-                    ]
-                )
+            cells = _fmt_metrics(
+                rate_f, dur_f, metrics(scenario, protocol), asym(scenario, protocol)
             )
+            lines.append(",".join([_fmt(snr_db), protocol.value, *cells]))
     text = "\n".join(lines) + "\n"
     if opt.out == "-":
         sys.stdout.write(text)
@@ -378,7 +355,7 @@ def _cmd_table1(opt: _Options) -> int:
         f" rate={_fmt(opt.rate)} normalize={opt.normalize}"
     )
     print("system    p_out         aor           aod")
-    for system in _TABLE1_ORDER:
+    for system in Table1System:
         t = table1_symmetric(gamma_bar, opt.rate, f_m, system)
         print(
             f"{system.value:9s} {_fmt(t.p_out):13s} {_fmt(t.aor * rate_f):13s} {_fmt(t.aod * dur_f)}"

@@ -9,12 +9,14 @@ its downward level-crossing rate via Rice's formula, and the average outage
 duration (AOD) as OP / AOR.
 
 The AF expressions involve a one-dimensional integral (OP) and a
-two-dimensional integral (AOR) which are evaluated with adaptive
-Gauss-Legendre quadrature; everything else is closed form.
+two-dimensional integral (AOR); they and the w < 0 branch of lcr_u are
+Gauss-Legendre sums refined by numerics.refine, with order schedule and
+relative tolerance op_af 16..1024 doubling, tol (1e-8); aor_af 8, 16, 32,
+64, 96 per panel, tol (1e-7); _i32_quadrature 16..2048 doubling, 1e-13.
+Everything else is closed form.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,10 +25,12 @@ from scipy import special as _sp
 
 from .channel import MobilityError, Scenario, derive, rayleigh_lcr
 from .numerics import (
-    ConvergenceError,
+    _legendre_base,
     bessel_k1,
-    gauss_laguerre,
+    check_laguerre,
     gauss_legendre,
+    integrate_gauss,
+    refine,
     upper_inc_gamma_3_2,
 )
 
@@ -139,17 +143,12 @@ def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
             * _af_relayed_cdf(a, th.c1, g.omega_y, g.omega_z)
         )
 
-    order = 16
-    rule = gauss_legendre(order, 0.0, g0sq)
-    prev = float(np.sum(rule.weights * f(rule.nodes)))
-    while order < 1024:
-        order *= 2
-        rule = gauss_legendre(order, 0.0, g0sq)
-        cur = float(np.sum(rule.weights * f(rule.nodes)))
-        if abs(cur - prev) <= tol * max(abs(cur), np.finfo(float).tiny):
-            return cur
-        prev = cur
-    raise ConvergenceError("AF outage probability integral did not converge", (prev, cur))
+    return refine(
+        lambda m: integrate_gauss(f, gauss_legendre(m, 0.0, g0sq)),
+        [16 << k for k in range(7)],
+        tol,
+        "AF outage probability integral",
+    )
 
 
 def _af_rate_integrand(a, t, g0sq, c1, s2x, s2y, s2z, ox, oy, oz):
@@ -168,7 +167,7 @@ def _af_rate_integrand(a, t, g0sq, c1, s2x, s2y, s2z, ox, oy, oz):
     return np.sqrt(np.maximum(svar, 0.0)) * kern * expo
 
 
-def aor_af(scenario: Scenario, tol: float = 1e-7, laguerre_check: bool = True) -> float:
+def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     """Average outage rate (Hz) of variable-gain AF relaying.
 
     The outer integral (over the relayed-path power level a) uses
@@ -181,10 +180,10 @@ def aor_af(scenario: Scenario, tol: float = 1e-7, laguerre_check: bool = True) -
 
     When the two inner scales are close (low SNR) a plain Gauss-Laguerre
     evaluation of the inner integral is computed at the median outer node as
-    an independent consistency check; a RuntimeWarning flags gross
-    disagreement.  At high SNR the scales separate by many decades and the
-    unscaled Laguerre rule is not a meaningful monitor, so the check is
-    skipped there.
+    an independent consistency check; a LaguerreDisagreement warning flags
+    gross disagreement.  At high SNR the scales separate by many decades
+    and the unscaled Laguerre rule is not a meaningful monitor, so the
+    check is skipped there.
     """
     _require_mobility(scenario)
     g = scenario.gains
@@ -203,53 +202,35 @@ def aor_af(scenario: Scenario, tol: float = 1e-7, laguerre_check: bool = True) -
     t_lo = 1.0 / (_PSI * oy)
     t_hi = _PSI * oz / (a_head * (a_head + c1))
 
-    def panel_rule(lo: float, hi: float, n_pan: int, m: int):
+    def panel_rule(lo: float, hi: float, m: int):
+        n_pan = max(1, math.ceil(math.log10(hi / lo)))
         edges = np.geomspace(lo, hi, n_pan + 1)
-        nodes, weights = [], []
-        for left, right in zip(edges[:-1], edges[1:]):
-            r = gauss_legendre(m, left, right)
-            nodes.append(r.nodes)
-            weights.append(r.weights)
-        return np.concatenate(nodes), np.concatenate(weights)
-
-    n_pan_a = max(1, math.ceil(math.log10(g0sq / a_head)))
-    n_pan_t = max(1, math.ceil(math.log10(t_hi / t_lo)))
+        left, right = edges[:-1, None], edges[1:, None]
+        if not np.all(left < right):
+            raise ValueError(f"need increasing panel edges on [{lo}, {hi}]")
+        # the mapping gauss_legendre(m, left, right) applies, for all panels at once
+        x, w = _legendre_base(m)
+        half = 0.5 * (right - left)
+        return (left + half * (x + 1.0)).ravel(), (half * w).ravel()
 
     def evaluate(m: int) -> float:
-        a, wa = panel_rule(a_head, g0sq, n_pan_a, m)
-        t, wt = panel_rule(t_lo, t_hi, n_pan_t, m)
+        a, wa = panel_rule(a_head, g0sq, m)
+        t, wt = panel_rule(t_lo, t_hi, m)
         f = _af_rate_integrand(a[:, None], t[None, :], *args)
         return float(wa @ (f @ wt))
 
-    prev = evaluate(8)
-    cur = prev
-    converged = False
-    for m in (16, 32, 64, 96):
-        cur = evaluate(m)
-        if abs(cur - prev) <= tol * max(abs(cur), np.finfo(float).tiny):
-            converged = True
-            break
-        prev = cur
-    if not converged:
-        raise ConvergenceError("AF outage rate integral did not converge", (prev, cur))
+    cur = refine(evaluate, (8, 16, 32, 64, 96), tol, "AF outage rate integral")
 
-    if laguerre_check and t_hi / t_lo < 1e4:
+    if t_hi / t_lo < 1e4:
         # the unscaled Laguerre rule is only a meaningful monitor when the
         # inner rising/decaying scales overlap (low to moderate SNR)
         a_star = 0.5 * g0sq
-        t, wt = panel_rule(t_lo, t_hi, n_pan_t, 64)
-        lag = gauss_laguerre(64)
-        j_lag = float(
-            np.sum(lag.weights * np.exp(lag.nodes) * _af_rate_integrand(a_star, lag.nodes, *args))
-        )
-        j_pan = float(_af_rate_integrand(a_star, t, *args) @ wt)
-        if abs(j_lag - j_pan) > 1e-2 * max(abs(j_pan), np.finfo(float).tiny):
-            warnings.warn(
-                "Gauss-Laguerre check of the AF rate inner integral disagrees "
-                f"({j_lag:.4e} vs {j_pan:.4e})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        t, wt = panel_rule(t_lo, t_hi, 64)
+
+        def inner(ts):
+            return _af_rate_integrand(a_star, ts, *args)
+
+        check_laguerre(inner, float(inner(t) @ wt), 1e-2, "the AF rate inner integral")
 
     pref = math.sqrt(2.0 / math.pi) / (ox * oy * oz) * math.exp(-g0sq / ox)
     return pref * cur
@@ -304,17 +285,12 @@ def _i32_quadrature(w: float, s: float, log_pref: float) -> float:
     def f(tau):
         return np.sqrt(1.0 + sign * tau) * np.exp(log_pref - w * sign * tau)
 
-    order = 16
-    rule = gauss_legendre(order, 0.0, span)
-    prev = float(np.sum(rule.weights * f(rule.nodes)))
-    while order < 2048:
-        order *= 2
-        rule = gauss_legendre(order, 0.0, span)
-        cur = float(np.sum(rule.weights * f(rule.nodes)))
-        if abs(cur - prev) <= 1e-13 * max(abs(cur), np.finfo(float).tiny):
-            return sign * cur
-        prev = cur
-    raise ConvergenceError("auxiliary crossing-rate integral did not converge", (prev, cur))
+    return sign * refine(
+        lambda m: integrate_gauss(f, gauss_legendre(m, 0.0, span)),
+        [16 << k for k in range(8)],
+        1e-13,
+        "auxiliary crossing-rate integral",
+    )
 
 
 def _gamma_3_2_scaled(w: float) -> float:

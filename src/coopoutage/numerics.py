@@ -8,13 +8,18 @@ integrals of exponentially decaying integrands.
 
 Quadrature nodes and weights are generated by Newton iteration on the
 orthogonal-polynomial recurrences (no table lookup), so any order works.
+
+Every quadrature order loop in the package is the one driver `refine`,
+each caller with its own order schedule and tolerance (here
+integrate_semi_infinite: order0 doubled up to max_order, 64..1024 by
+default); every Gauss-Laguerre cross-check is `check_laguerre`.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy import special as _sp
@@ -28,6 +33,8 @@ __all__ = [
     "gauss_laguerre",
     "mapped_legendre",
     "integrate_gauss",
+    "refine",
+    "check_laguerre",
     "integrate_semi_infinite",
     "bessel_k0",
     "bessel_k1",
@@ -89,6 +96,15 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
+def _legendre_poly(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return (P_n(x), P_n'(x)) via the three-term recurrence."""
+    p_prev = np.zeros_like(x)
+    p_cur = np.ones_like(x)
+    for j in range(1, n + 1):
+        p_prev, p_cur = p_cur, ((2 * j - 1) * x * p_cur - (j - 1) * p_prev) / j
+    return p_cur, n * (x * p_cur - p_prev) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=64)
 def _legendre_base(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Legendre nodes/weights on [-1, 1] by Newton iteration on the recurrence."""
@@ -96,25 +112,16 @@ def _legendre_base(order: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(n, dtype=float)
     # Tricomi-style initial guess, accurate enough for global Newton
     x = np.cos(math.pi * (k + 0.75) / (n + 0.5))
-    dp = np.ones_like(x)
     for _ in range(_NEWTON_MAX_ITER):
-        p_prev = np.zeros_like(x)
-        p_cur = np.ones_like(x)
-        for j in range(1, n + 1):
-            p_prev, p_cur = p_cur, ((2 * j - 1) * x * p_cur - (j - 1) * p_prev) / j
-        dp = n * (x * p_cur - p_prev) / (x * x - 1.0)
-        dx = p_cur / dp
+        p, dp = _legendre_poly(n, x)
+        dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < _NEWTON_TOL:
             break
     else:
         raise ConvergenceError(f"Legendre Newton iteration stalled at order {n}")
     # one clean derivative evaluation at the converged nodes
-    p_prev = np.zeros_like(x)
-    p_cur = np.ones_like(x)
-    for j in range(1, n + 1):
-        p_prev, p_cur = p_cur, ((2 * j - 1) * x * p_cur - (j - 1) * p_prev) / j
-    dp = n * (x * p_cur - p_prev) / (x * x - 1.0)
+    _, dp = _legendre_poly(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     idx = np.argsort(x)
     return x[idx], w[idx]
@@ -224,29 +231,50 @@ def integrate_gauss(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule)
     return float(np.sum(rule.weights * f(rule.nodes)))
 
 
-def _laguerre_estimate(f, order: int, scale: float) -> float:
-    rule = gauss_laguerre(order)
+def refine(estimate: Callable[[int], float], orders: Iterable[int], tol: float, what: str) -> float:
+    """Return the first estimate(m) along orders that agrees with the previous one to tol.
+
+    Orders after the agreeing one are not evaluated.  If the orders run out,
+    raises ConvergenceError carrying the last two estimates (None in place
+    of the first when the schedule has a single order).
+    """
+    prev = cur = None
+    for m in orders:
+        prev, cur = cur, estimate(m)
+        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), np.finfo(float).tiny):
+            return cur
+    raise ConvergenceError(f"{what} did not converge by order {m}: {prev!r}, {cur!r}", (prev, cur))
+
+
+def check_laguerre(f: Callable[[np.ndarray], np.ndarray], reference: float, rtol: float, what: str):
+    """Warn with LaguerreDisagreement if 64-point Gauss-Laguerre misses reference by > rtol.
+
+    The rule approximates int_0^inf f(t) dt as sum(w_i e^{x_i} f(x_i)): an
+    independent monitor only for integrands decaying roughly like e^{-t}.
+    """
+    rule = gauss_laguerre(64)
     # w_i e^{x_i} stays finite in double precision for order <= 128
-    return float(np.sum(rule.weights * np.exp(rule.nodes) * f(scale * rule.nodes))) * scale
+    lag = float(np.sum(rule.weights * np.exp(rule.nodes) * f(rule.nodes)))
+    if abs(lag - reference) > rtol * max(abs(reference), np.finfo(float).tiny):
+        msg = f"Gauss-Laguerre check of {what} ({lag:.6e}) disagrees with {reference:.6e}"
+        warnings.warn(msg, LaguerreDisagreement, stacklevel=3)
 
 
 def integrate_semi_infinite(
     f: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-9,
     *,
-    scale: float = 1.0,
     order0: int = 64,
     max_order: int = 1024,
     laguerre_check: bool = True,
-    laguerre_order: int = 64,
 ) -> float:
     """Integrate f over (0, inf) with estimated relative error <= tol.
 
-    The integrand is mapped onto (0, 1) through t = scale * (u / (1 - u))^2
-    and integrated with Gauss-Legendre, doubling the order until two
-    successive estimates agree to tol.  f must be vectorised, continuous on
-    (0, inf), decay at least exponentially at infinity, and grow no faster
-    than t^(-1/2) at 0+.
+    The integrand is mapped onto (0, 1) through t = (u / (1 - u))^2 and
+    integrated with Gauss-Legendre, doubling the order from order0 until two
+    successive estimates agree to tol (see refine).  f must be vectorised,
+    continuous on (0, inf), decay at least exponentially at infinity, and
+    grow no faster than t^(-1/2) at 0+.
 
     A Gauss-Laguerre evaluation is computed as a consistency check; if it
     disagrees with the converged result by more than 10 * tol relative, a
@@ -257,33 +285,14 @@ def integrate_semi_infinite(
     Raises ConvergenceError (carrying the last two estimates) if the order
     cap is reached without convergence.
     """
-    order = order0
-    prev = integrate_gauss(f, mapped_legendre(order, scale))
-    cur = prev
-    converged = False
-    while order < max_order:
-        order *= 2
-        cur = integrate_gauss(f, mapped_legendre(order, scale))
-        if abs(cur - prev) <= tol * max(abs(cur), np.finfo(float).tiny):
-            converged = True
-            break
-        if order < max_order:
-            prev = cur
-    if not converged:
-        raise ConvergenceError(
-            f"semi-infinite integral did not converge by order {max_order}: "
-            f"last estimates {prev!r}, {cur!r}",
-            estimates=(prev, cur),
-        )
+    orders = [order0]
+    while orders[-1] < max_order:
+        orders.append(2 * orders[-1])
+    cur = refine(
+        lambda m: integrate_gauss(f, mapped_legendre(m)), orders, tol, "semi-infinite integral"
+    )
     if laguerre_check:
-        lag = _laguerre_estimate(f, min(laguerre_order, 128), scale)
-        if abs(lag - cur) > 10.0 * tol * max(abs(cur), np.finfo(float).tiny):
-            warnings.warn(
-                f"Gauss-Laguerre check ({lag:.6e}) disagrees with mapped-Legendre "
-                f"result ({cur:.6e}) beyond 10*tol",
-                LaguerreDisagreement,
-                stacklevel=2,
-            )
+        check_laguerre(f, cur, 10.0 * tol, "the semi-infinite integral")
     return cur
 
 
@@ -294,6 +303,15 @@ def _check_positive_domain(z, name: str):
     return z
 
 
+def _saturated_bessel(kernel, z, name: str):
+    za = _check_positive_domain(z, name)
+    out = kernel(za)
+    if np.any(za > _K_UNDERFLOW_Z):
+        warnings.warn(f"{name} underflowed to 0", UnderflowWarning, stacklevel=3)
+        out = np.where(za > _K_UNDERFLOW_Z, 0.0, out)
+    return float(out) if np.isscalar(z) else out
+
+
 def bessel_k0(z):
     """Modified Bessel function of the second kind, order zero.
 
@@ -301,22 +319,12 @@ def bessel_k0(z):
     enough that the result underflows saturate to 0.0 and raise an
     UnderflowWarning.
     """
-    za = _check_positive_domain(z, "bessel_k0")
-    out = _sp.k0(za)
-    if np.any(za > _K_UNDERFLOW_Z):
-        warnings.warn("bessel_k0 underflowed to 0", UnderflowWarning, stacklevel=2)
-        out = np.where(za > _K_UNDERFLOW_Z, 0.0, out)
-    return float(out) if np.isscalar(z) else out
+    return _saturated_bessel(_sp.k0, z, "bessel_k0")
 
 
 def bessel_k1(z):
     """Modified Bessel function of the second kind, order one (see bessel_k0)."""
-    za = _check_positive_domain(z, "bessel_k1")
-    out = _sp.k1(za)
-    if np.any(za > _K_UNDERFLOW_Z):
-        warnings.warn("bessel_k1 underflowed to 0", UnderflowWarning, stacklevel=2)
-        out = np.where(za > _K_UNDERFLOW_Z, 0.0, out)
-    return float(out) if np.isscalar(z) else out
+    return _saturated_bessel(_sp.k1, z, "bessel_k1")
 
 
 def erfc(x):

@@ -81,6 +81,19 @@ class TestValidation:
             LinkGains(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             NodeDopplers(-1.0, 1.0, 1.0)
+        # NaN slips past every ordered comparison and inf overflows the
+        # thresholds; both must be refused at construction
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                make_scenario(gamma0=bad)
+            with pytest.raises(ValueError):
+                make_scenario(r0=bad)
+            with pytest.raises(ValueError):
+                make_scenario(y0=bad)
+            with pytest.raises(ValueError):
+                LinkGains(1.0, bad, 1.0)
+            with pytest.raises(ValueError):
+                NodeDopplers(1.0, 1.0, bad)
 
     def test_all_static_allowed_at_construction(self):
         sc = make_scenario(dopplers=(0.0, 0.0, 0.0))

@@ -140,6 +140,11 @@ class TestAfOutageRate:
         with pytest.raises(MobilityError):
             aor_af(make_scenario(dopplers=(0.0, 0.0, 0.0)))
 
+    def test_reversed_inner_range_rejected(self):
+        # -30 dB, r0 = 8: the inner panel range [t_lo, t_hi] comes out reversed
+        with pytest.raises(ValueError):
+            aor_af(make_scenario(gamma0=1e-3, r0=8.0, omegas=(1.0, 0.01, 0.01)))
+
     def test_self_convergence_below_1e8(self):
         for gamma_db in (0.0, 10.0, 20.0, 40.0):
             sc = make_scenario(gamma0=10.0 ** (gamma_db / 10.0))

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from coopoutage.channel import LinkGains, Scenario
+from coopoutage.exact_metrics import aor_df, op_af
 from coopoutage.numerics import (
     ConvergenceError,
     LaguerreDisagreement,
@@ -18,6 +20,7 @@ from coopoutage.numerics import (
     integrate_gauss,
     integrate_semi_infinite,
     mapped_legendre,
+    refine,
     upper_inc_gamma_3_2,
 )
 
@@ -171,6 +174,17 @@ class TestSemiInfiniteIntegration:
                 laguerre_check=False,
             )
         assert len(info.value.estimates) == 2
+        # the AF outage-probability loop and the DF/SR crossing-rate loop
+        # (w < 0 branch) must report the last two orders, not one twice
+        for call in (
+            lambda: op_af(Scenario(10.0, 0.5), tol=1e-20),
+            lambda: aor_df(Scenario(gamma0=1e-3, r0=1.0, gains=LinkGains(10, 1, 1))),
+        ):
+            with pytest.raises(ConvergenceError) as info:
+                call()
+            prev, cur = info.value.estimates
+            assert math.isfinite(prev) and math.isfinite(cur)
+            assert prev != cur
 
     def test_doubling_converged_results_are_stable(self):
         # doubling the order past convergence moves the corpus integrals < 1e-8
@@ -186,6 +200,24 @@ class TestSemiInfiniteIntegration:
             assert abs(b - a) < 1e-8 * abs(b)
             if reference is not None:
                 assert b == pytest.approx(reference, rel=1e-9)
+
+
+class TestRefine:
+    def test_stops_at_first_agreeing_order(self):
+        values = {4: 1.0, 8: 2.0, 16: 2.0 + 1e-12, 32: 5.0}
+        seen = []
+
+        def estimate(m):
+            seen.append(m)
+            return values[m]
+
+        assert refine(estimate, (4, 8, 16, 32), 1e-9, "test integral") == 2.0 + 1e-12
+        assert seen == [4, 8, 16]
+
+    def test_raises_with_last_two_estimates(self):
+        with pytest.raises(ConvergenceError, match="test integral") as info:
+            refine(lambda m: 1.0 / m, (4, 8, 16), 1e-9, "test integral")
+        assert info.value.estimates == (1.0 / 8, 1.0 / 16)
 
 
 class TestBesselK:
