@@ -7,7 +7,10 @@ gain), the outage rate with slope -(d - 1/2), and the outage duration with
 slope -1/2 regardless of d.  This module evaluates those closed forms, the
 symmetric-network table of coefficients (including a 1x2 SIMO maximum
 ratio combining baseline), and the rate/duration versus outage-probability
-power laws obtained by eliminating the SNR.
+power laws obtained by eliminating the SNR.  d and the outage level (x0 or
+g0) come from the Protocol member, each protocol's coefficients from
+_coefficients, and _power_law builds the metrics and slopes of both asym
+and the Table 1 rows.
 """
 
 import math
@@ -16,8 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import MobilityError, Scenario, derive
-from .exact_metrics import Protocol
+from .channel import Scenario, derive
+from .exact_metrics import Protocol, _require_mobility
 
 __all__ = [
     "AsymMetrics",
@@ -56,13 +59,7 @@ class Table1System(Enum):
 
     @property
     def diversity_gain(self) -> int:
-        return {
-            Table1System.DIRECT: 1,
-            Table1System.SIMO_1X2: 2,
-            Table1System.AF: 2,
-            Table1System.DF: 1,
-            Table1System.SR: 2,
-        }[self]
+        return 2 if self is Table1System.SIMO_1X2 else Protocol(self.value).diversity_gain
 
 
 def _ratio3(u: float, v: float) -> float:
@@ -70,33 +67,43 @@ def _ratio3(u: float, v: float) -> float:
     return (u * u + u * v + v * v) / (u + v)
 
 
-def _coefficients(scenario: Scenario, protocol: Protocol) -> tuple[float, float, int]:
-    """(p, n, d) with OP ~ p * thr^(2d) and AOR ~ n * thr^(2d - 1).
+def _power_law(p_out: float, aor: float, d: int) -> AsymMetrics:
+    """The metrics and decay slopes of a diversity-d power law; aod is nan when aor == 0."""
+    return AsymMetrics(
+        p_out=p_out,
+        aor=aor,
+        aod=p_out / aor if aor > 0.0 else math.nan,
+        slope_op=-float(d),
+        slope_aor=-(d - 0.5),
+        slope_aod=-0.5,
+    )
 
-    thr is the protocol's outage threshold (x0 for direct, g0 otherwise),
-    so both coefficients depend only on the gains and Dopplers.
+
+def _coefficients(scenario: Scenario, protocol: Protocol) -> tuple[float, float, float]:
+    """(p, n, thr) with OP ~ p * thr^(2d) and AOR ~ n * thr^(2d - 1).
+
+    thr is the protocol's outage level, so both coefficients depend only on
+    the gains and Dopplers.
     """
-    if scenario.dopplers.all_static:
-        raise MobilityError("all node Dopplers are zero; outage rate is degenerate")
+    _require_mobility(scenario)
     g = scenario.gains
-    ld, _ = derive(scenario)
+    ld, th = derive(scenario)
     sx = math.sqrt(ld.sigma2_x)
     sy = math.sqrt(ld.sigma2_y)
     sz = math.sqrt(ld.sigma2_z)
     ox, oy, oz = g.omega_x, g.omega_y, g.omega_z
+    p = (oy + oz) / (2.0 * ox * oy * oz)  # AF and SR; the first-order protocols replace it
     if protocol is Protocol.DIRECT:
-        return 1.0 / ox, math.sqrt(2.0 * ld.sigma2_x / math.pi) / ox, 1
-    if protocol is Protocol.DF:
-        return 1.0 / oy, math.sqrt(2.0 * ld.sigma2_y / math.pi) / oy, 1
-    if protocol is Protocol.AF:
-        p = (oy + oz) / (2.0 * ox * oy * oz)
+        p, n = 1.0 / ox, math.sqrt(2.0 * ld.sigma2_x / math.pi) / ox
+    elif protocol is Protocol.DF:
+        p, n = 1.0 / oy, math.sqrt(2.0 * ld.sigma2_y / math.pi) / oy
+    elif protocol is Protocol.AF:
         n = 4.0 / (3.0 * _SQRT_2PI) * (_ratio3(sx, sz) / (ox * oz) + _ratio3(sx, sy) / (ox * oy))
-        return p, n, 2
-    if protocol is Protocol.SR:
-        p = (oy + oz) / (2.0 * ox * oy * oz)
+    elif protocol is Protocol.SR:
         n = ((sx + sy / math.sqrt(2.0)) / (ox * oy) + 2.0 * math.sqrt(2.0) / 3.0 * _ratio3(sz, sx) / (ox * oz)) / _SQRT_PI
-        return p, n, 2
-    raise ValueError(f"unknown protocol {protocol}")
+    else:
+        raise ValueError(f"unknown protocol {protocol}")
+    return p, n, protocol.level(th)
 
 
 def asym(scenario: Scenario, protocol: Protocol) -> AsymMetrics:
@@ -106,19 +113,9 @@ def asym(scenario: Scenario, protocol: Protocol) -> AsymMetrics:
     policy y0 = g0; an explicit fixed y0 changes the high-SNR behaviour
     and is not covered by these closed forms.
     """
-    _, th = derive(scenario)
-    thr = th.x0 if protocol is Protocol.DIRECT else th.g0
-    p_coef, n_coef, d = _coefficients(scenario, protocol)
-    p_out = p_coef * thr ** (2 * d)
-    aor = n_coef * thr ** (2 * d - 1)
-    return AsymMetrics(
-        p_out=p_out,
-        aor=aor,
-        aod=p_out / aor if aor > 0.0 else math.nan,
-        slope_op=-float(d),
-        slope_aor=-(d - 0.5),
-        slope_aod=-0.5,
-    )
+    p_coef, n_coef, thr = _coefficients(scenario, protocol)
+    d = protocol.diversity_gain
+    return _power_law(p_coef * thr ** (2 * d), n_coef * thr ** (2 * d - 1), d)
 
 
 def table1_symmetric(gamma_bar: float, r0: float, f_m: float, system: Table1System) -> AsymMetrics:
@@ -134,6 +131,8 @@ def table1_symmetric(gamma_bar: float, r0: float, f_m: float, system: Table1Syst
         raise ValueError("gamma_bar must be positive")
     if f_m <= 0.0:
         raise ValueError("f_m must be positive")
+    if not r0 >= 0.0:
+        raise ValueError("r0 must be nonnegative")
     c2 = 2.0 ** (2.0 * r0) - 1.0
     c1 = 2.0**r0 - 1.0
     if system is Table1System.DIRECT:
@@ -153,15 +152,7 @@ def table1_symmetric(gamma_bar: float, r0: float, f_m: float, system: Table1Syst
         aor = (math.sqrt(2.0) + 3.0) * _SQRT_PI * f_m * (c2 / gamma_bar) ** 1.5
     else:
         raise ValueError(f"unknown system {system}")
-    d = system.diversity_gain
-    return AsymMetrics(
-        p_out=p_out,
-        aor=aor,
-        aod=p_out / aor,
-        slope_op=-float(d),
-        slope_aor=-(d - 0.5),
-        slope_aod=-0.5,
-    )
+    return _power_law(p_out, aor, system.diversity_gain)
 
 
 def op_to_aor(p_out: float, scenario: Scenario, protocol: Protocol) -> float:
@@ -173,8 +164,8 @@ def op_to_aor(p_out: float, scenario: Scenario, protocol: Protocol) -> float:
     """
     if not 0.0 < p_out < 1.0:
         raise ValueError("p_out must lie in (0, 1)")
-    p_coef, n_coef, d = _coefficients(scenario, protocol)
-    return n_coef * (p_out / p_coef) ** ((d + 1) / 4.0)
+    p_coef, n_coef, _ = _coefficients(scenario, protocol)
+    return n_coef * (p_out / p_coef) ** ((protocol.diversity_gain + 1) / 4.0)
 
 
 def op_to_aod(p_out: float, scenario: Scenario, protocol: Protocol) -> float:

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .asym_metrics import Table1System, asym, fit_loglog_slope, table1_symmetric
-from .channel import LinkGains, NodeDopplers, Scenario
+from .channel import LinkGains, MobilityError, NodeDopplers, Scenario
 from .exact_metrics import Protocol, metrics
 from .mc_sim import TraceConfig, validate
 
@@ -73,8 +73,8 @@ def _parse_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"range must be A:B:STEP, got {text!r}")
     a, b, step = (float(p) for p in parts)
-    if step <= 0.0 or b < a:
-        raise ValueError(f"range must satisfy A <= B and STEP > 0, got {text!r}")
+    if step <= 0.0 or b < a or not all(math.isfinite(v) for v in (a, b, step, (b - a) / step)):
+        raise ValueError(f"range must be finite with A <= B and STEP > 0, got {text!r}")
     n = int(math.floor((b - a) / step + 1e-9))
     return [a + k * step for k in range(n + 1)]
 
@@ -189,19 +189,22 @@ class _Options:
             if value is None:
                 value = default
             setattr(self, name, value)
+        try:
+            self.omega = _parse_triple(self.omega, "--omega")
+            self.doppler = _parse_triple(self.doppler, "--doppler")
+        except ValueError as exc:
+            parser.error(str(exc))
 
     def scenario(self, snr_db: float) -> Scenario:
         try:
-            ox, oy, oz = _parse_triple(self.omega, "--omega")
-            fs, fr, fd = _parse_triple(self.doppler, "--doppler")
             return Scenario(
                 gamma0=db_to_linear(snr_db),
                 r0=self.rate,
-                gains=LinkGains(ox, oy, oz),
-                dopplers=NodeDopplers(fs, fr, fd),
+                gains=LinkGains(*self.omega),
+                dopplers=NodeDopplers(*self.doppler),
                 y0=self.y0,
             )
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             self._parser.error(str(exc))
 
     def protocol_list(self) -> list[Protocol]:
@@ -224,8 +227,7 @@ class _Options:
         return [self.snr_db]
 
     def f_norm(self) -> float:
-        fs, fr, fd = _parse_triple(self.doppler, "--doppler")
-        return max(fs, fr, fd)
+        return max(self.doppler)
 
     def norm_factors(self) -> tuple[float, float]:
         """(rate_factor, duration_factor): multiply aor/aod to normalised units."""
@@ -328,11 +330,11 @@ def _cmd_slope(opt: _Options) -> int:
     print("protocol  metric  exponent  rms_residual  expected")
     for protocol in opt.protocol_list():
         ms = [metrics(opt.scenario(s), protocol) for s in points]
-        d = protocol.diversity_gain
+        law = asym(opt.scenario(points[0]), protocol)
         for name, values, expected in [
-            ("op", [m.p_out for m in ms], -d),
-            ("aor", [m.aor for m in ms], -(d - 0.5)),
-            ("aod", [m.aod for m in ms], -0.5),
+            ("op", [m.p_out for m in ms], law.slope_op),
+            ("aor", [m.aor for m in ms], law.slope_aor),
+            ("aod", [m.aod for m in ms], law.slope_aod),
         ]:
             slope, rms = fit_loglog_slope(gammas, np.array(values))
             print(f"{protocol.value:8s}  {name:6s}  {slope:+.4f}  {rms:.2e}  {expected:+.2f}")
@@ -341,11 +343,12 @@ def _cmd_slope(opt: _Options) -> int:
 
 def _cmd_table1(opt: _Options) -> int:
     snr_db = opt.snr_points()[0]
-    ox, oy, oz = _parse_triple(opt.omega, "--omega")
+    opt.scenario(snr_db)  # refuses a bad rate, gain or Doppler as a usage error
+    ox, oy, oz = opt.omega
     if not (ox == oy == oz):
         opt._parser.error("table1 assumes a symmetric network: --omega X,Y,Z must be equal")
     f_m = opt.f_norm()
-    fs, fr, fd = _parse_triple(opt.doppler, "--doppler")
+    fs, fr, fd = opt.doppler
     if not (fs == fr == fd and f_m > 0.0):
         opt._parser.error("table1 assumes equal nonzero node Dopplers")
     gamma_bar = ox * db_to_linear(snr_db)
@@ -376,7 +379,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     opt = _Options(args, parser)
-    return _COMMANDS[args.command](opt)
+    try:
+        return _COMMANDS[args.command](opt)
+    except MobilityError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 from scipy import special as _sp
 
-from .channel import MobilityError, Scenario, derive, rayleigh_lcr
+from .channel import MobilityError, Scenario, Thresholds, derive, rayleigh_lcr
 from .numerics import (
     _legendre_base,
     bessel_k1,
@@ -71,6 +71,10 @@ class Protocol(Enum):
     @property
     def diversity_gain(self) -> int:
         return {Protocol.DIRECT: 1, Protocol.AF: 2, Protocol.DF: 1, Protocol.SR: 2}[self]
+
+    def level(self, th: Thresholds) -> float:
+        """Outage threshold of the equivalent gain: x0 for direct, g0 otherwise."""
+        return th.x0 if self is Protocol.DIRECT else th.g0
 
 
 @dataclass(frozen=True)
@@ -449,23 +453,18 @@ def aor_sr(scenario: Scenario) -> float:
 # dispatch
 
 
-_OP = {
-    Protocol.DIRECT: op_direct,
-    Protocol.AF: op_af,
-    Protocol.DF: op_df,
-    Protocol.SR: op_sr,
-}
-_AOR = {
-    Protocol.DIRECT: aor_direct,
-    Protocol.AF: aor_af,
-    Protocol.DF: aor_df,
-    Protocol.SR: aor_sr,
+_EXACT = {
+    Protocol.DIRECT: (op_direct, aor_direct),
+    Protocol.AF: (op_af, aor_af),
+    Protocol.DF: (op_df, aor_df),
+    Protocol.SR: (op_sr, aor_sr),
 }
 
 
 def metrics(scenario: Scenario, protocol: Protocol) -> OutageMetrics:
     """Exact OP, AOR and AOD for one protocol at one operating point."""
-    p_out = _OP[protocol](scenario)
-    aor = _AOR[protocol](scenario)
+    op, rate = _EXACT[protocol]
+    p_out = op(scenario)
+    aor = rate(scenario)
     aod = p_out / aor if aor > 0.0 else None
     return OutageMetrics(p_out=p_out, aor=aor, aod=aod)

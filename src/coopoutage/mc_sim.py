@@ -63,7 +63,6 @@ class TraceConfig:
     oversampling: int = 64
     n_sinusoids: int = 32
     n_realizations: int = 1
-    stratified_angles: bool = True
 
     def __post_init__(self):
         if self.n_samples < 2:
@@ -118,7 +117,6 @@ def gen_complex_gain(
     dt: float,
     rng: np.random.Generator,
     n_sinusoids: int = 32,
-    stratified: bool = True,
 ) -> np.ndarray:
     """Complex baseband gain of one mobile-to-mobile Rayleigh link.
 
@@ -127,25 +125,20 @@ def gen_complex_gain(
     and normalised so E[|h|^2] = omega, which gives each quadrature the
     autocorrelation (omega/2) * J0(2*pi*f_tx*tau) * J0(2*pi*f_rx*tau).
 
-    With stratified=True (default) the transmit and receive angle sets are
-    equi-spaced grids with independent random rotations, paired through a
-    coprime stride.  The grid kills the ray-sampling noise of the per-
-    realization gain-derivative variance (sum of cos^2 over the grid is
-    exactly n/2, and the stride makes the cross term vanish), so crossing
-    rates of a single realization track the analytical ones already at
-    moderate ray counts.  stratified=False draws all angles independently,
-    which matches the ensemble statistics but leaves the effective Doppler
-    spread of one realization randomly offset by O(1/sqrt(n_sinusoids)).
+    The transmit and receive angle sets are equi-spaced grids with
+    independent random rotations, paired through a coprime stride.  The grid
+    kills the ray-sampling noise of the per-realization gain-derivative
+    variance (sum of cos^2 over the grid is exactly n/2, and the stride
+    makes the cross term vanish), so crossing rates of a single realization
+    track the analytical ones already at moderate ray counts; independent
+    angles would leave the effective Doppler spread of one realization
+    randomly offset by O(1/sqrt(n_sinusoids)).
     """
-    if stratified:
-        u_alpha, u_beta = rng.uniform(0.0, 1.0, 2)
-        idx = np.arange(n_sinusoids)
-        r = _coprime_stride(n_sinusoids)
-        alpha = 2.0 * np.pi * (idx + u_alpha) / n_sinusoids
-        beta = 2.0 * np.pi * ((r * idx) % n_sinusoids + u_beta) / n_sinusoids
-    else:
-        alpha = rng.uniform(0.0, 2.0 * np.pi, n_sinusoids)
-        beta = rng.uniform(0.0, 2.0 * np.pi, n_sinusoids)
+    u_alpha, u_beta = rng.uniform(0.0, 1.0, 2)
+    idx = np.arange(n_sinusoids)
+    r = _coprime_stride(n_sinusoids)
+    alpha = 2.0 * np.pi * (idx + u_alpha) / n_sinusoids
+    beta = 2.0 * np.pi * ((r * idx) % n_sinusoids + u_beta) / n_sinusoids
     phi = rng.uniform(0.0, 2.0 * np.pi, n_sinusoids)
     omega_ray = 2.0 * np.pi * (f_tx * np.cos(alpha) + f_rx * np.cos(beta))
     amp = np.sqrt(omega / n_sinusoids)
@@ -193,9 +186,7 @@ def gen_m2m_rayleigh(
         return FadingTrace(dt=dt or 1.0, samples=np.full(cfg.n_samples, level))
     if dt is None:
         dt = 1.0 / (cfg.oversampling * (f_tx + f_rx))
-    h = gen_complex_gain(
-        omega, f_tx, f_rx, cfg.n_samples, dt, rng, cfg.n_sinusoids, cfg.stratified_angles
-    )
+    h = gen_complex_gain(omega, f_tx, f_rx, cfg.n_samples, dt, rng, cfg.n_sinusoids)
     return FadingTrace(dt=dt, samples=np.abs(h))
 
 
@@ -395,7 +386,7 @@ def validate(
     for r in range(cfg.n_realizations):
         x, y, z = gen_link_traces(scenario, cfg, realization=r)
         g = FadingTrace(x.dt, equivalent_gain(protocol, x.samples, y.samples, z.samples, th_mc))
-        counts = counts.merge(CrossingCounts.from_trace(g, th.g0 if protocol is not Protocol.DIRECT else th.x0))
+        counts = counts.merge(CrossingCounts.from_trace(g, protocol.level(th)))
     emp = EmpiricalMetrics.from_counts(counts)
 
     def entry(name, ex, est, tol):

@@ -75,13 +75,16 @@ class TestAsymClosedForms:
         assert a.aod / 1e-3 == pytest.approx(18.16, abs=5e-3)
 
     def test_duration_identity_and_slopes(self):
+        sc = make_scenario(gamma0=30.0)
+        _, th = derive(sc)
         for protocol in Protocol:
-            a = asym(make_scenario(gamma0=30.0), protocol)
+            a = asym(sc, protocol)
             assert a.aod * a.aor == pytest.approx(a.p_out, rel=1e-14)
             d = protocol.diversity_gain
             assert a.slope_op == -d
             assert a.slope_aor == -(d - 0.5)
             assert a.slope_aod == -0.5
+            assert protocol.level(th) == (th.x0 if protocol is Protocol.DIRECT else th.g0)
 
 
 class TestReductions:
@@ -137,6 +140,7 @@ class TestTable1:
                 t = table1_symmetric(gamma_bar, 0.5, 1.0, system)
                 assert t.p_out == pytest.approx(a.p_out, rel=1e-12)
                 assert t.aor == pytest.approx(a.aor, rel=1e-12)
+                assert system.diversity_gain == protocol.diversity_gain
 
     def test_sr_duration_row(self):
         t = table1_symmetric(100.0, 0.5, 1.0, Table1System.SR)
@@ -166,6 +170,12 @@ class TestTable1:
             table1_symmetric(0.0, 0.5, 1.0, Table1System.AF)
         with pytest.raises(ValueError):
             table1_symmetric(10.0, 0.5, 0.0, Table1System.AF)
+        with pytest.raises(ValueError):
+            table1_symmetric(10.0, -0.5, 1.0, Table1System.AF)
+        # zero rate: no outage, so the duration is undefined as in asym
+        for system in Table1System:
+            t = table1_symmetric(100.0, 0.0, 1.0, system)
+            assert t.p_out == 0.0 and t.aor == 0.0 and math.isnan(t.aod)
 
 
 class TestAsymptoticConsistency:

@@ -261,3 +261,24 @@ class TestNormalisationGuards:
         with pytest.raises(SystemExit) as info:
             main(["metrics", "--snr-db", "10", "--normalize", "block"])
         assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metrics", "--snr-db", "10", "--doppler", "0,0,0"],
+        ["slope", "--snr-db-range", "30:40:2", "--doppler", "0,0,0"],
+        ["validate", "--snr-db", "10", "--doppler", "0,0,0"],
+        ["sweep", "--snr-db-range", "0:inf:2"],
+        ["sweep", "--snr-db-range", "0:1e300:1e-300"],
+        ["table1", "--snr-db", "20", "--omega", "1,1"],
+        ["table1", "--snr-db", "20", "--doppler", "1,x"],
+        ["table1", "--snr-db", "20", "--omega=-1,-1,-1"],
+        ["table1", "--snr-db", "20", "--rate", "-1"],
+        ["metrics", "--snr-db", "4000"],
+    ],
+)
+def test_bad_input_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
