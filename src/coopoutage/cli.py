@@ -25,7 +25,10 @@ from .mc_sim import TraceConfig, validate
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"SNR {db:g} dB is out of range: its linear value overflows") from None
 
 
 def _fmt(x) -> str:
@@ -204,7 +207,7 @@ class _Options:
                 dopplers=NodeDopplers(*self.doppler),
                 y0=self.y0,
             )
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             self._parser.error(str(exc))
 
     def protocol_list(self) -> list[Protocol]:
@@ -326,11 +329,12 @@ def _cmd_slope(opt: _Options) -> int:
     points = opt.snr_points(need_range=True)
     if points[-1] - points[0] < 6.0:
         opt._parser.error("slope window must span at least 6 dB")
-    gammas = np.array([db_to_linear(s) for s in points])
+    scenarios = [opt.scenario(s) for s in points]
+    gammas = np.array([sc.gamma0 for sc in scenarios])
     print("protocol  metric  exponent  rms_residual  expected")
     for protocol in opt.protocol_list():
-        ms = [metrics(opt.scenario(s), protocol) for s in points]
-        law = asym(opt.scenario(points[0]), protocol)
+        ms = [metrics(sc, protocol) for sc in scenarios]
+        law = asym(scenarios[0], protocol)
         for name, values, expected in [
             ("op", [m.p_out for m in ms], law.slope_op),
             ("aor", [m.aor for m in ms], law.slope_aor),
@@ -343,7 +347,7 @@ def _cmd_slope(opt: _Options) -> int:
 
 def _cmd_table1(opt: _Options) -> int:
     snr_db = opt.snr_points()[0]
-    opt.scenario(snr_db)  # refuses a bad rate, gain or Doppler as a usage error
+    scenario = opt.scenario(snr_db)  # refuses a bad SNR, rate, gain or Doppler as a usage error
     ox, oy, oz = opt.omega
     if not (ox == oy == oz):
         opt._parser.error("table1 assumes a symmetric network: --omega X,Y,Z must be equal")
@@ -351,7 +355,7 @@ def _cmd_table1(opt: _Options) -> int:
     fs, fr, fd = opt.doppler
     if not (fs == fr == fd and f_m > 0.0):
         opt._parser.error("table1 assumes equal nonzero node Dopplers")
-    gamma_bar = ox * db_to_linear(snr_db)
+    gamma_bar = ox * scenario.gamma0
     rate_f, dur_f = opt.norm_factors()
     print(
         f"# gamma_bar_db={_fmt(10 * math.log10(gamma_bar))} (omega={_fmt(ox)}, snr_db={_fmt(snr_db)})"

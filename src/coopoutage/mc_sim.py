@@ -10,6 +10,13 @@ angle, and phase, so the quadrature autocorrelation is exactly the product
 of the two terminal J0 Doppler factors.  Random streams are counter-based
 (Philox) keyed by (seed, realization, link): links and realizations are
 independent and reproducible regardless of chunking or execution order.
+
+The sum of sinusoids is evaluated in blocks of B samples as one complex
+matrix product: h[bB + j] = sum_k e^{i(w_k bB dt + phi_k)} * amp e^{i w_k j dt},
+an (n/B x N) block-start factor times an (N x B) in-block factor.  Both
+factors are computed directly from the sample index, never by repeated
+phasor multiplication, so rounding error stays at the level of one phase
+evaluation wherever the sample sits in the trace.
 """
 
 import struct
@@ -42,7 +49,8 @@ __all__ = [
 ]
 
 _TRACE_MAGIC = b"FTRC"
-_CHUNK = 1 << 21
+_BLOCK = 256  # samples per row of the phasor product
+_BLOCK_ROWS = (1 << 20) // _BLOCK  # rows per product: bounds scratch at 2^20 samples
 
 
 class StaticLinkError(ValueError):
@@ -133,6 +141,11 @@ def gen_complex_gain(
     track the analytical ones already at moderate ray counts; independent
     angles would leave the effective Doppler spread of one realization
     randomly offset by O(1/sqrt(n_sinusoids)).
+
+    Evaluation is blocked (see the module docstring): the phasor of each
+    block start and of each in-block offset comes straight from the sample
+    index, so the deviation from a per-sample cos/sin sum is the rounding of
+    one phase argument (about 1e-11 at 1e6 samples), not an accumulation.
     """
     u_alpha, u_beta = rng.uniform(0.0, 1.0, 2)
     idx = np.arange(n_sinusoids)
@@ -142,18 +155,16 @@ def gen_complex_gain(
     phi = rng.uniform(0.0, 2.0 * np.pi, n_sinusoids)
     omega_ray = 2.0 * np.pi * (f_tx * np.cos(alpha) + f_rx * np.cos(beta))
     amp = np.sqrt(omega / n_sinusoids)
-    out = np.empty(n_samples, dtype=np.complex128)
-    for start in range(0, n_samples, _CHUNK):
-        stop = min(start + _CHUNK, n_samples)
-        t = np.arange(start, stop, dtype=np.float64) * dt
-        re = np.zeros(stop - start)
-        im = np.zeros(stop - start)
-        for k in range(n_sinusoids):
-            theta = omega_ray[k] * t + phi[k]
-            re += np.cos(theta)
-            im += np.sin(theta)
-        out[start:stop] = amp * (re + 1j * im)
-    return out
+    in_block = amp * np.exp(1j * np.outer(omega_ray, np.arange(_BLOCK) * dt))
+    n_blocks = -(-n_samples // _BLOCK)
+    out = np.empty(n_blocks * _BLOCK, dtype=np.complex128)
+    rows = out.reshape(n_blocks, _BLOCK)
+    for b0 in range(0, n_blocks, _BLOCK_ROWS):
+        b1 = min(b0 + _BLOCK_ROWS, n_blocks)
+        t0 = np.arange(b0 * _BLOCK, b1 * _BLOCK, _BLOCK, dtype=np.float64) * dt
+        block_start = np.exp(1j * (np.outer(t0, omega_ray) + phi))
+        np.matmul(block_start, in_block, out=rows[b0:b1])
+    return out[:n_samples]
 
 
 def gen_m2m_rayleigh(

@@ -254,9 +254,8 @@ def test_criterion_6_monte_carlo_equivalence(mc_traces):
         ld, th = derive(scenario)
         for protocol in Protocol:
             g = equivalent_gain(protocol, x.samples, y.samples, z.samples, th)
-            level = th.x0 if protocol is Protocol.DIRECT else th.g0
             emp = EmpiricalMetrics.from_counts(
-                CrossingCounts.from_trace(FadingTrace(x.dt, g), level)
+                CrossingCounts.from_trace(FadingTrace(x.dt, g), protocol.level(th))
             )
             exact = metrics(scenario, protocol)
             tag = f"{protocol.value}@{gamma_db:.0f}dB"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from coopoutage.cli import load_config, main
+from coopoutage.cli import db_to_linear, load_config, main
 
 
 def run_cli(argv, capsys):
@@ -276,9 +276,16 @@ class TestNormalisationGuards:
         ["table1", "--snr-db", "20", "--omega=-1,-1,-1"],
         ["table1", "--snr-db", "20", "--rate", "-1"],
         ["metrics", "--snr-db", "4000"],
+        ["table1", "--snr-db", "4000"],
+        ["slope", "--snr-db-range", "4000:4010:2"],
     ],
 )
 def test_bad_input_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+
+
+def test_snr_overflow_names_the_snr():
+    with pytest.raises(ValueError, match="4000 dB"):
+        db_to_linear(4000.0)

@@ -7,6 +7,7 @@ import pytest
 
 from coopoutage.channel import LinkGains, NodeDopplers, Scenario, derive, rayleigh_lcr
 from coopoutage.exact_metrics import Protocol, lcr_u, op_af
+from coopoutage import mc_sim
 from coopoutage.mc_sim import (
     CrossingCounts,
     EmpiricalMetrics,
@@ -31,6 +32,29 @@ def bessel_j0_oracle(x: np.ndarray) -> np.ndarray:
     """J0 via its cosine integral, on an independent quadrature."""
     rule = gauss_legendre(96, 0.0, math.pi)
     return np.cos(np.outer(x, np.sin(rule.nodes))) @ rule.weights / math.pi
+
+
+def per_ray_gain(omega, f_tx, f_rx, n_samples, dt, rng, n_sinusoids):
+    """Reference sum of sinusoids: the generator's draws, one cos/sin pass per ray."""
+    u_alpha, u_beta = rng.uniform(0.0, 1.0, 2)
+    idx = np.arange(n_sinusoids)
+    r = mc_sim._coprime_stride(n_sinusoids)
+    alpha = 2.0 * np.pi * (idx + u_alpha) / n_sinusoids
+    beta = 2.0 * np.pi * ((r * idx) % n_sinusoids + u_beta) / n_sinusoids
+    phi = rng.uniform(0.0, 2.0 * np.pi, n_sinusoids)
+    omega_ray = 2.0 * np.pi * (f_tx * np.cos(alpha) + f_rx * np.cos(beta))
+    t = np.arange(n_samples, dtype=np.float64) * dt
+    re = np.zeros(n_samples)
+    im = np.zeros(n_samples)
+    for k in range(n_sinusoids):
+        theta = omega_ray[k] * t + phi[k]
+        re += np.cos(theta)
+        im += np.sin(theta)
+    return np.sqrt(omega / n_sinusoids) * (re + 1j * im)
+
+
+# 1000 samples past one full product of block rows, so the trace spans two products
+N_CROSSING_CHUNK = mc_sim._BLOCK * mc_sim._BLOCK_ROWS + 1000
 
 
 def make_scenario(gamma0=10.0, omegas=(1.0, 1.0, 1.0)):
@@ -77,6 +101,26 @@ class TestGeneration:
             gen_m2m_rayleigh(1.0, 0.0, 0.0, cfg)
         tr = gen_m2m_rayleigh(1.0, 0.0, 0.0, cfg, static_fallback=True)
         assert np.all(tr.samples == tr.samples[0])
+
+    @pytest.mark.parametrize("n_sinusoids", [16, 32, 64])
+    @pytest.mark.parametrize("n_samples", [100, 1000, 65_537, N_CROSSING_CHUNK])
+    def test_blocked_gain_matches_per_ray_sum(self, n_samples, n_sinusoids):
+        # below one block, not a multiple of the block, across a row chunk
+        args = (1.3, 1.0, 0.7, n_samples, 1.0 / (64 * 1.7))
+        key = [11, 100 * n_samples + n_sinusoids]
+        h = gen_complex_gain(*args, np.random.Generator(np.random.Philox(key=key)), n_sinusoids)
+        ref = per_ray_gain(*args, np.random.Generator(np.random.Philox(key=key)), n_sinusoids)
+        assert h.shape == (n_samples,) and h.dtype == np.complex128
+        assert float(np.max(np.abs(h - ref))) <= 1e-10
+
+    def test_gain_prefix_does_not_depend_on_length(self):
+        def gain(n):
+            rng = np.random.Generator(np.random.Philox(key=[12, 0]))
+            return gen_complex_gain(1.0, 1.0, 1.0, n, 1.0 / 128, rng, 32)
+
+        full = gain(N_CROSSING_CHUNK)
+        for m in (100, 1000, 65_537):
+            assert float(np.max(np.abs(full[:m] - gain(m)))) <= 1e-13
 
     def test_crossing_rate_matches_rice_formula(self):
         # averaged over realizations, >= 1e7 samples total
