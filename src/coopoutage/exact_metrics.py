@@ -14,6 +14,15 @@ Gauss-Legendre sums refined by numerics.refine, with order schedule and
 relative tolerance op_af 16..1024 doubling, tol (1e-8); aor_af 8, 16, 32,
 64, 96 per panel, tol (1e-7); _i32_quadrature 16..2048 doubling, 1e-13.
 Everything else is closed form.
+
+op_af's relayed-path CDF uses the scaled Bessel function k1e, and the
+returned probability is clipped to [0, 1].  aor_af folds the separable
+factors of its integrand into the quadrature weights (exp(-1/(t oy))/t^2
+inner; exp(-(g0^2 - a)/ox - a(1/oy + 1/oz)) outer, which absorbs the
+exp(-g0^2/ox) prefactor), so every exponent is <= 0 and deep outage
+underflows to 0 instead of overflowing.  _af_rate_kernel evaluates the rest
+one outer panel at a time, against only the inner panels that start below
+that panel's cut psi*oz/(a_L(a_L + c1)) at its left edge a_L.
 """
 
 import math
@@ -26,7 +35,6 @@ from scipy import special as _sp
 from .channel import MobilityError, Scenario, Thresholds, derive, rayleigh_lcr
 from .numerics import (
     _legendre_base,
-    bessel_k1,
     check_laguerre,
     gauss_legendre,
     integrate_gauss,
@@ -123,7 +131,8 @@ def aor_direct(scenario: Scenario) -> float:
 def _af_relayed_cdf(a, c1: float, oy: float, oz: float):
     """CDF of the relayed-path power Y^2 Z^2 / (Y^2 + Z^2 + C1) at level a."""
     arg = 2.0 * np.sqrt(a * (a + c1) / (oy * oz))
-    cdf = 1.0 - arg * bessel_k1(arg) * np.exp(-a * (1.0 / oy + 1.0 / oz))
+    # k1e(x) = e^x K1(x) does not underflow; its e^x goes into the exponent
+    cdf = 1.0 - arg * _sp.k1e(arg) * np.exp(-arg - a * (1.0 / oy + 1.0 / oz))
     # the closed form is a probability; clip rounding noise at tiny a
     return np.clip(cdf, 0.0, 1.0)
 
@@ -133,6 +142,8 @@ def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
 
     Single integral over the relayed-path power level, evaluated with
     Gauss-Legendre order doubling until successive estimates agree to tol.
+    The result is clipped to [0, 1]: rounding in the outer sum can push it
+    past 1 at deep outage.
     """
     g = scenario.gains
     _, th = derive(scenario)
@@ -147,28 +158,59 @@ def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
             * _af_relayed_cdf(a, th.c1, g.omega_y, g.omega_z)
         )
 
-    return refine(
+    p_out = refine(
         lambda m: integrate_gauss(f, gauss_legendre(m, 0.0, g0sq)),
         [16 << k for k in range(7)],
         tol,
         "AF outage probability integral",
     )
+    return min(max(p_out, 0.0), 1.0)
 
 
-def _af_rate_integrand(a, t, g0sq, c1, s2x, s2y, s2z, ox, oy, oz):
-    """Joint integrand of the AF outage-rate double integral (broadcastable)."""
-    at1 = a * t + 1.0
+def _decade_panels(lo: float, hi: float, m: int):
+    """Gauss-Legendre rules of order m on geometric panels of [lo, hi], about one per decade.
+
+    Returns the left panel edges (n_pan,) and the nodes and weights
+    (n_pan, m), one row per panel.
+    """
+    n_pan = max(1, math.ceil(math.log10(hi / lo)))
+    edges = np.geomspace(lo, hi, n_pan + 1)
+    left, right = edges[:-1, None], edges[1:, None]
+    if not np.all(left < right):
+        raise ValueError(f"need increasing panel edges on [{lo}, {hi}]")
+    # the mapping gauss_legendre(m, left, right) applies, for all panels at once
+    x, w = _legendre_base(m)
+    half = 0.5 * (right - left)
+    return left[:, 0], left + half * (x + 1.0), half * w
+
+
+def _af_rate_kernel(a, t, g0sq, c1, s2x, s2y, s2z, oz):
+    """Non-separable part of the AF outage-rate integrand on the grid a x t.
+
+    Returns sqrt(svar) * P * exp(-a(a + c1)t/oz) with P = (at + 1)(at + c1t + 1),
+    for a column of outer nodes a (or a scalar) and a row of inner nodes t;
+    aor_af holds the separable factors in its weights.  Here
+        svar P^2 = (g0^2 - a) s2x P^2 + a^2 (a + c1)^2 s2y t^3 (at + 1)
+                   + a s2z (at + c1t + 1),
+    a sum of nonnegative terms built in three grid-sized buffers updated in
+    place.
+    """
+    at1 = a * t
+    at1 += 1.0
     act1 = at1 + c1 * t
-    svar = (
-        (g0sq - a) * s2x
-        + (a**2 * t**3 * (a + c1) ** 2) / (at1 * act1**2) * s2y
-        + a / (at1**2 * act1) * s2z
-    )
-    kern = at1 * act1 / t**2
-    expo = np.exp(
-        -a * (1.0 / oy + 1.0 / oz - 1.0 / ox) - (a * t * (a + c1) / oz + 1.0 / (t * oy))
-    )
-    return np.sqrt(np.maximum(svar, 0.0)) * kern * expo
+    p = at1 * act1
+    q = np.multiply(a * a * (a + c1) ** 2 * s2y, t * t * t)
+    q *= at1
+    np.multiply(act1, a * s2z, out=act1)
+    q += act1
+    np.multiply(p, p, out=p)
+    p *= (g0sq - a) * s2x
+    q += p
+    np.sqrt(q, out=q)
+    np.multiply(a * (a + c1) / -oz, t, out=p)
+    np.exp(p, out=p)
+    q *= p
+    return q
 
 
 def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
@@ -179,8 +221,18 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     to ~log10(psi^2 * oy * oz / (a_min * (a_min + c1))) decades of scale, so
     it is evaluated on geometric panels (one Gauss-Legendre rule per decade)
     between the rising exp(-1/(t*oy)) cutoff and the decaying
-    exp(-a*t*(a+c1)/oz) cutoff.  Both directions are refined together until
-    the result is stable to tol.
+    exp(-a*t*(a+c1)/oz) cutoff.  Both directions are refined together
+    (orders 8, 16, 32, 64, 96 per panel) until the result is stable to tol.
+
+    The separable factors of the integrand are folded into the weights:
+    exp(-1/(t*oy))/t^2 into the inner ones and
+    exp(-(g0^2 - a)/ox - a*(1/oy + 1/oz)) into the outer ones, which absorbs
+    the exp(-g0^2/ox) prefactor.  Every exponent is then <= 0, so deep
+    outage underflows towards 0 instead of overflowing.  Only
+    _af_rate_kernel is evaluated on the grid, one outer panel at a time
+    against the inner panels it needs: an outer panel with left edge a_L
+    keeps the inner panels starting below psi*oz/(a_L*(a_L + c1)), past
+    which exp(-a*(a+c1)*t/oz) < exp(-psi) for every a in the panel.
 
     When the two inner scales are close (low SNR) a plain Gauss-Laguerre
     evaluation of the inner integral is computed at the median outer node as
@@ -197,7 +249,7 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
         return 0.0
     ox, oy, oz = g.omega_x, g.omega_y, g.omega_z
     c1 = th.c1
-    args = (g0sq, c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, ox, oy, oz)
+    args = (g0sq, c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oz)
 
     # The integrand carries a*log(a) style behaviour at a -> 0, so the outer
     # variable is paneled geometrically as well; the head [0, a_head] is
@@ -206,22 +258,22 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     t_lo = 1.0 / (_PSI * oy)
     t_hi = _PSI * oz / (a_head * (a_head + c1))
 
-    def panel_rule(lo: float, hi: float, m: int):
-        n_pan = max(1, math.ceil(math.log10(hi / lo)))
-        edges = np.geomspace(lo, hi, n_pan + 1)
-        left, right = edges[:-1, None], edges[1:, None]
-        if not np.all(left < right):
-            raise ValueError(f"need increasing panel edges on [{lo}, {hi}]")
-        # the mapping gauss_legendre(m, left, right) applies, for all panels at once
-        x, w = _legendre_base(m)
-        half = 0.5 * (right - left)
-        return (left + half * (x + 1.0)).ravel(), (half * w).ravel()
+    def inner_factor(t):
+        return np.exp(-1.0 / (t * oy)) / (t * t)
 
     def evaluate(m: int) -> float:
-        a, wa = panel_rule(a_head, g0sq, m)
-        t, wt = panel_rule(t_lo, t_hi, m)
-        f = _af_rate_integrand(a[:, None], t[None, :], *args)
-        return float(wa @ (f @ wt))
+        a_left, a, wa = _decade_panels(a_head, g0sq, m)
+        t_left, t, wt = _decade_panels(t_lo, t_hi, m)
+        wa *= np.exp(-(g0sq - a) / ox - a * (1.0 / oy + 1.0 / oz))
+        wt *= inner_factor(t)
+        t, wt = t.ravel(), wt.ravel()
+        # per outer panel, the inner nodes of the panels starting below its cut
+        n_keep = m * np.searchsorted(t_left, _PSI * oz / (a_left * (a_left + c1)))
+        total = 0.0
+        for ap, wap, n in zip(a, wa, n_keep):
+            if n:
+                total += wap @ (_af_rate_kernel(ap[:, None], t[:n], *args) @ wt[:n])
+        return float(total)
 
     cur = refine(evaluate, (8, 16, 32, 64, 96), tol, "AF outage rate integral")
 
@@ -229,15 +281,15 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
         # the unscaled Laguerre rule is only a meaningful monitor when the
         # inner rising/decaying scales overlap (low to moderate SNR)
         a_star = 0.5 * g0sq
-        t, wt = panel_rule(t_lo, t_hi, 64)
+        _, t, wt = _decade_panels(t_lo, t_hi, 64)
 
         def inner(ts):
-            return _af_rate_integrand(a_star, ts, *args)
+            return _af_rate_kernel(a_star, ts, *args) * inner_factor(ts)
 
-        check_laguerre(inner, float(inner(t) @ wt), 1e-2, "the AF rate inner integral")
+        ref = float(inner(t.ravel()) @ wt.ravel())
+        check_laguerre(inner, ref, 1e-2, "the AF rate inner integral")
 
-    pref = math.sqrt(2.0 / math.pi) / (ox * oy * oz) * math.exp(-g0sq / ox)
-    return pref * cur
+    return math.sqrt(2.0 / math.pi) / (ox * oy * oz) * cur
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Exact OP/AOR/AOD expressions against closed anchors, oracles, and each other."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopoutage import exact_metrics
 from coopoutage.channel import LinkGains, MobilityError, NodeDopplers, Scenario, derive
 from coopoutage.exact_metrics import (
     Protocol,
@@ -23,7 +25,7 @@ from coopoutage.exact_metrics import (
     prob_u_exceeds,
     sr_switch_probs,
 )
-from coopoutage.numerics import gauss_legendre
+from coopoutage.numerics import gauss_legendre, refine
 
 # Monte Carlo pins (independent oracles, frozen):
 # - static sampling of the AF equivalent gain, 6e7 iid Rayleigh triples
@@ -63,6 +65,59 @@ def lcr_u_quadrature_oracle(g0, ox, oz, s2x, s2z, order=3000):
         * math.exp(-g0 * g0 / ox)
         * float(np.sum(rule.weights * f))
     )
+
+
+# the four link shapes of the SNR sweep: gains, r0, node Dopplers
+SWEEP_SHAPES = {
+    "symmetric": ((1.0, 1.0, 1.0), 0.5, (1.0, 1.0, 1.0)),
+    "strong_sr": ((1.0, 100.0, 1.0), 0.25, (2.0, 0.3, 1.0)),
+    "strong_rd": ((1.0, 1.0, 100.0), 1.0, (2.0, 1.0, 0.0)),
+    "weak_sd": ((0.1, 1.0, 1.0), 2.0, (0.5, 1.0, 2.0)),
+}
+
+
+def sweep_scenario(shape, snr_db):
+    omegas, r0, dopplers = SWEEP_SHAPES[shape]
+    return make_scenario(gamma0=10.0 ** (snr_db / 10.0), r0=r0, omegas=omegas, dopplers=dopplers)
+
+
+def af_rate_grid(scenario, m):
+    """aor_af's outer and inner decade-panel rules of order m, flattened."""
+    _, th = derive(scenario)
+    g = scenario.gains
+    g0sq, psi = th.g0**2, exact_metrics._PSI
+    a_head = 1e-10 * g0sq
+    _, a, wa = exact_metrics._decade_panels(a_head, g0sq, m)
+    t_hi = psi * g.omega_z / (a_head * (a_head + th.c1))
+    _, t, wt = exact_metrics._decade_panels(1.0 / (psi * g.omega_y), t_hi, m)
+    return a.ravel(), wa.ravel(), t.ravel(), wt.ravel()
+
+
+def af_rate_node_sum(scenario, m):
+    """Reference AF outage rate: the unfolded integrand, one outer node at a time.
+
+    Every exponential sits in one exponent (the exp(-g0^2/ox) prefactor too),
+    the variance is built by divisions, and the full tensor grid is summed
+    with no inner cut.
+    """
+    g = scenario.gains
+    ld, th = derive(scenario)
+    g0sq, c1 = th.g0**2, th.c1
+    ox, oy, oz = g.omega_x, g.omega_y, g.omega_z
+    a, wa, t, wt = af_rate_grid(scenario, m)
+    total = 0.0
+    for ai, wai in zip(a, wa):
+        at1 = ai * t + 1.0
+        act1 = at1 + c1 * t
+        svar = (
+            (g0sq - ai) * ld.sigma2_x
+            + ai**2 * t**3 * (ai + c1) ** 2 / (at1 * act1**2) * ld.sigma2_y
+            + ai / (at1**2 * act1) * ld.sigma2_z
+        )
+        expo = -(g0sq - ai) / ox - ai * (1.0 / oy + 1.0 / oz) - ai * (ai + c1) * t / oz - 1.0 / (t * oy)
+        f = np.sqrt(svar) * at1 * act1 / t**2 * np.exp(expo)
+        total += wai * float(f @ wt)
+    return math.sqrt(2.0 / math.pi) / (ox * oy * oz) * total
 
 
 class TestDirect:
@@ -111,6 +166,16 @@ class TestAfOutageProbability:
     def test_against_static_mc_oracle_0db(self):
         assert abs(op_af(make_scenario(gamma0=1.0)) - OP_AF_0DB_MC) < OP_AF_0DB_MC_TOL
 
+    def test_at_most_one_at_deep_outage(self):
+        # domain-grid edge point where the unclipped outer sum gave 1 + 2e-14
+        sc = make_scenario(
+            gamma0=10.0 ** (-2.94314881589456 / 10.0),
+            r0=4.488313364971638,
+            omegas=(0.30226225762506764, 7.6044046413161075, 9.107822993690235),
+            dopplers=(0.0, 0.7455552876850151, 0.6049799808074553),
+        )
+        assert 0.0 <= op_af(sc) <= 1.0
+
     def test_nonincreasing_in_each_gain(self):
         for slot in range(3):
             prev = None
@@ -144,6 +209,47 @@ class TestAfOutageRate:
         # -30 dB, r0 = 8: the inner panel range [t_lo, t_hi] comes out reversed
         with pytest.raises(ValueError):
             aor_af(make_scenario(gamma0=1e-3, r0=8.0, omegas=(1.0, 0.01, 0.01)))
+
+    @pytest.mark.parametrize("m", [8, 16, 32])
+    @pytest.mark.parametrize("snr_db", [4.0, 40.0, 76.0])
+    @pytest.mark.parametrize("shape", list(SWEEP_SHAPES))
+    def test_kernel_with_folded_weights_matches_node_sum(self, shape, snr_db, m):
+        # full tensor grid, no inner cut: only the folding and the kernel differ
+        sc = sweep_scenario(shape, snr_db)
+        ld, th = derive(sc)
+        g = sc.gains
+        g0sq, ox, oy, oz = th.g0**2, g.omega_x, g.omega_y, g.omega_z
+        a, wa, t, wt = af_rate_grid(sc, m)
+        wa = wa * np.exp(-(g0sq - a) / ox - a * (1.0 / oy + 1.0 / oz))
+        wt = wt * np.exp(-1.0 / (t * oy)) / t**2
+        kern = exact_metrics._af_rate_kernel(
+            a[:, None], t, g0sq, th.c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oz
+        )
+        got = math.sqrt(2.0 / math.pi) / (ox * oy * oz) * float(wa @ (kern @ wt))
+        assert got == pytest.approx(af_rate_node_sum(sc, m), rel=1e-13)
+
+    @pytest.mark.parametrize("snr_db", [4.0, 40.0, 76.0])
+    @pytest.mark.parametrize("shape", list(SWEEP_SHAPES))
+    def test_panel_cut_matches_refined_node_sum(self, shape, snr_db):
+        # same schedule and tol as aor_af; the per-panel inner cut drops < e^-46
+        sc = sweep_scenario(shape, snr_db)
+        ref = refine(lambda m: af_rate_node_sum(sc, m), (8, 16, 32, 64, 96), 1e-7, "reference")
+        assert aor_af(sc) == pytest.approx(ref, rel=1e-13)
+
+    def test_deep_outage_is_finite(self):
+        # weak S-D link at -10 dB, 1/ox > 1/oy + 1/oz: the unfolded exponent
+        # overflows; a log-domain sum puts the rate near 1e-347.6, below the
+        # smallest double
+        sc = Scenario(
+            0.1,
+            1.954389050389492,
+            LinkGains(0.0983984790272646, 0.983984790272646, 0.983984790272646),
+            NodeDopplers(0.0594837, 0.1158931, 0.2257270),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = aor_af(sc)
+        assert math.isfinite(got) and 0.0 <= got < 1e-300
 
     def test_self_convergence_below_1e8(self):
         for gamma_db in (0.0, 10.0, 20.0, 40.0):
