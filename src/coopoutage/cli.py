@@ -22,6 +22,7 @@ from .asym_metrics import Table1System, asym, fit_loglog_slope, table1_symmetric
 from .channel import LinkGains, MobilityError, NodeDopplers, Scenario
 from .exact_metrics import Protocol, metrics
 from .mc_sim import TraceConfig, validate
+from .numerics import ConvergenceError
 
 
 def db_to_linear(db: float) -> float:
@@ -385,7 +386,7 @@ def main(argv=None) -> int:
     opt = _Options(args, parser)
     try:
         return _COMMANDS[args.command](opt)
-    except MobilityError as exc:
+    except (MobilityError, ConvergenceError) as exc:
         parser.error(str(exc))
 
 

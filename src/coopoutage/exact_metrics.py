@@ -9,11 +9,12 @@ its downward level-crossing rate via Rice's formula, and the average outage
 duration (AOD) as OP / AOR.
 
 The AF expressions involve a one-dimensional integral (OP) and a
-two-dimensional integral (AOR); they and the w < 0 branch of lcr_u are
-Gauss-Legendre sums refined by numerics.refine, with order schedule and
-relative tolerance op_af 16..1024 doubling, tol (1e-8); aor_af 8, 16, 32,
-64, 96 per panel, tol (1e-7); _i32_quadrature 16..2048 doubling, 1e-13.
-Everything else is closed form.
+two-dimensional integral (AOR); they are Gauss-Legendre sums refined by
+numerics.refine, with order schedule and relative tolerance op_af 16..1024
+doubling, tol (1e-8); aor_af 8, 16, 32, 64, 96 per panel, tol (1e-7).
+Direct, DF and SR are closed form with no quadrature: lcr_u, the crossing
+rate of sqrt(X^2 + Z^2) behind DF and SR, takes one of three closed paths
+(see its docstring).
 
 op_af's relayed-path CDF uses the scaled Bessel function k1e, and the
 returned probability is clipped to [0, 1].  aor_af folds the separable
@@ -39,7 +40,6 @@ from .numerics import (
     gauss_legendre,
     integrate_gauss,
     refine,
-    upper_inc_gamma_3_2,
 )
 
 __all__ = [
@@ -257,6 +257,9 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     a_head = 1e-10 * g0sq
     t_lo = 1.0 / (_PSI * oy)
     t_hi = _PSI * oz / (a_head * (a_head + c1))
+    if t_lo >= t_hi:
+        # no t lies inside both e^-psi cuts, so no inner panel is left
+        return 0.0
 
     def inner_factor(t):
         return np.exp(-1.0 / (t * oy)) / (t * t)
@@ -311,60 +314,51 @@ def prob_u_exceeds(g0: float, omega_x: float, omega_z: float) -> float:
 
 
 def _i32_series(w: float, s: float) -> float:
-    """sum_k (-w)^k (s^{k+3/2} - 1) / (k! (k+3/2)), the entire-function form of
-    w^{-3/2} [Gamma(3/2, w) - Gamma(3/2, s*w)].  Accurate for |w|*max(1,s) <~ 2."""
+    """int_1^s sqrt(t) e^{-wt} dt = sum_k (-w)^k (s^{k+3/2} - 1) / (k! (k+3/2)).
+
+    Accurate for |w|*max(1,s) <~ 2."""
     total = 0.0
     term_pow = 1.0  # (-w)^k / k!
-    s32 = s * math.sqrt(s)
-    spow = s32
-    for k in range(0, 60):
+    spow = s * math.sqrt(s)
+    for k in range(60):
         contrib = term_pow * (spow - 1.0) / (k + 1.5)
         total += contrib
-        if abs(contrib) < 1e-17 * max(abs(total), 1e-300):
+        if abs(contrib) < 1e-17 * abs(total):
             break
         term_pow *= -w / (k + 1.0)
         spow *= s
     return total
 
 
-def _i32_quadrature(w: float, s: float, log_pref: float) -> float:
-    """int_1^s sqrt(t) exp(log_pref + w*(1 - t)) dt by Gauss-Legendre doubling.
+def _k32(w: float) -> float:
+    """Kernel of lcr_u's closed form, overflow free.
 
-    Integrates in the shifted variable tau = +-(t - 1), so the exponent is
-    log_pref - w*direction*tau with |w*tau| bounded by the physical
-    exponent gap: no cancellation and no overflow for arbitrarily large
-    |w|.  The sign of the result carries s < 1.
+    For w > 0 it is e^w Gamma(3/2, w) = (sqrt(pi)/2) erfcx(sqrt(w)) + sqrt(w).
+    For w < 0 it is D(sqrt(-w)) - sqrt(-w) with Dawson's integral D, since
+    int sqrt(u) e^u du = e^u (sqrt(u) - D(sqrt(u))).
     """
-    span = abs(s - 1.0)
-    sign = 1.0 if s >= 1.0 else -1.0
-
-    def f(tau):
-        return np.sqrt(1.0 + sign * tau) * np.exp(log_pref - w * sign * tau)
-
-    return sign * refine(
-        lambda m: integrate_gauss(f, gauss_legendre(m, 0.0, span)),
-        [16 << k for k in range(8)],
-        1e-13,
-        "auxiliary crossing-rate integral",
-    )
-
-
-def _gamma_3_2_scaled(w: float) -> float:
-    """e^w * Gamma(3/2, w) for w >= 0, overflow free.
-
-    Same closed identity as upper_inc_gamma_3_2 with the exponential
-    factored out: (sqrt(pi)/2) * erfcx(sqrt(w)) + sqrt(w).
-    """
-    return 0.5 * math.sqrt(math.pi) * float(_sp.erfcx(math.sqrt(w))) + math.sqrt(w)
+    if w > 0.0:
+        return 0.5 * math.sqrt(math.pi) * float(_sp.erfcx(math.sqrt(w))) + math.sqrt(w)
+    return float(_sp.dawsn(math.sqrt(-w))) - math.sqrt(-w)
 
 
 def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: float) -> float:
     """Downward level-crossing rate (Hz) of U(t) = sqrt(X^2(t) + Z^2(t)).
 
     X and Z are independent Rayleigh processes with mean squares omega_x,
-    omega_z and gain-derivative variances sigma2_x, sigma2_z.  The general
-    closed form uses the upper incomplete gamma function; the removable
-    equal-parameter limits are evaluated by their own stable branches.
+    omega_z and gain-derivative variances sigma2_x, sigma2_z.  The rate is
+    coef * e^{-g0^2/ox} * int_1^s sqrt(t) e^{w(1 - t)} dt with
+    s = sigma2_z / sigma2_x, evaluated in closed form by one of three paths:
+
+    - sigma2_x ~ sigma2_z (within _EQUAL_BRANCH_TOL), where coef and w blow
+      up: the limit s -> 1, a divided difference of e^{-g0^2/omega} in
+      omega, taken through exprel when the exponent gap is small, so
+      omega_x = omega_z needs no case of its own;
+    - |w| * max(1, s) <= 2, where the closed form below cancels: the power
+      series _i32_series (omega_x = omega_z gives w = 0 here);
+    - otherwise coef * [e^{-g0^2/ox} K(w) - e^{-g0^2/oz} K(s w)] / |w|^{3/2}
+      with K = _k32 (erfcx for w > 0, Dawson's integral for w < 0), using
+      e^{-g0^2/ox} e^{(1-s)w} = e^{-g0^2/oz}, so no factor can overflow.
     """
     if g0 < 0.0:
         raise ValueError("g0 must be nonnegative")
@@ -372,51 +366,24 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
         return 0.0
     g0sq = g0 * g0
     sx = math.sqrt(sigma2_x)
-    sz = math.sqrt(sigma2_z)
-    omega_equal = _equalish(omega_x, omega_z)
-    sigma_equal = _equalish(sigma2_x, sigma2_z)
 
-    if omega_equal and sigma_equal:
-        return math.sqrt(2.0 / math.pi) * sx * g0sq * g0 * math.exp(-g0sq / omega_x) / omega_x**2
-    if omega_equal:
-        # factored (sz^3 - sx^3)/(sz^2 - sx^2); no cancellation
-        ratio = (sz * sz + sz * sx + sx * sx) / (sz + sx)
-        return (
-            4.0
-            * g0sq
-            * g0
-            / (3.0 * math.sqrt(2.0 * math.pi))
-            * math.exp(-g0sq / omega_x)
-            / omega_x**2
-            * ratio
-        )
-    if sigma_equal:
-        # limit sigma_z -> sigma_x of the general form at unequal omegas;
-        # note omega_x * omega_z * delta == omega_x - omega_z exactly
+    if _equalish(sigma2_x, sigma2_z):
+        # (e^{-g0^2/ox} - e^{-g0^2/oz}) / (ox - oz); ox * oz * delta == ox - oz
         delta = (omega_x - omega_z) / (omega_x * omega_z)
         if abs(g0sq * delta) < 1.0:
-            gap = math.exp(-g0sq / omega_x) * (-math.expm1(-g0sq * delta))
+            rel = float(_sp.exprel(-g0sq * delta))
+            gap = math.exp(-g0sq / omega_x) * g0sq / (omega_x * omega_z) * rel
         else:
-            gap = math.exp(-g0sq / omega_x) - math.exp(-g0sq / omega_z)
-        return math.sqrt(2.0 / math.pi) * sx * g0 * gap / (omega_x - omega_z)
+            gap = (math.exp(-g0sq / omega_x) - math.exp(-g0sq / omega_z)) / (omega_x - omega_z)
+        return math.sqrt(2.0 / math.pi) * sx * g0 * gap
 
     w = g0sq * (omega_x - omega_z) / (omega_x * omega_z) * sigma2_x / (sigma2_z - sigma2_x)
     s = sigma2_z / sigma2_x
     coef = math.sqrt(2.0 / math.pi) * (sx**3 / (sigma2_z - sigma2_x)) / (omega_x * omega_z) * g0sq * g0
     if abs(w) * max(1.0, s) <= 2.0:
         return coef * math.exp(w - g0sq / omega_x) * _i32_series(w, s)
-    if 0.0 < w and w * max(1.0, s) <= 200.0:
-        i32 = (upper_inc_gamma_3_2(w) - upper_inc_gamma_3_2(s * w)) / w**1.5
-        return coef * math.exp(w - g0sq / omega_x) * i32
-    if w > 0.0:
-        # exponentially rescaled form: e^{-g0^2/ox} e^{(1-s)w} = e^{-g0^2/oz}
-        # exactly, so neither factor can overflow for any parameters
-        diff = math.exp(-g0sq / omega_x) * _gamma_3_2_scaled(w) - math.exp(
-            -g0sq / omega_z
-        ) * _gamma_3_2_scaled(s * w)
-        return coef * diff / w**1.5
-    # w < 0: keep every exponent at or below the physical one
-    return coef * _i32_quadrature(w, s, log_pref=-g0sq / omega_x)
+    diff = math.exp(-g0sq / omega_x) * _k32(w) - math.exp(-g0sq / omega_z) * _k32(s * w)
+    return coef * diff / abs(w) ** 1.5
 
 
 def op_df(scenario: Scenario) -> float:
@@ -456,8 +423,8 @@ def sr_switch_probs(g0: float, omega_x: float, omega_z: float) -> tuple[float, f
     g0sq = g0 * g0
     if _equalish(omega_x, omega_z):
         u = g0sq / (2.0 * omega_x)
-        # exp(-u) - (1 + u) exp(-2u) rewritten cancellation free
-        p3 = math.exp(-2.0 * u) * (math.expm1(u) - u)
+        # exp(-u) - (1 + u) exp(-2u) = exp(-u) P(2, u), regularized lower gamma
+        p3 = math.exp(-u) * float(_sp.gammainc(2.0, u))
         p4 = u * math.exp(-2.0 * u)
         return p3, p4
     e_half = math.exp(-0.5 * g0sq * (1.0 / omega_x + 1.0 / omega_z))

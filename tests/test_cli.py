@@ -289,3 +289,12 @@ def test_bad_input_is_usage_error(argv, capsys):
 def test_snr_overflow_names_the_snr():
     with pytest.raises(ValueError, match="4000 dB"):
         db_to_linear(4000.0)
+
+
+def test_convergence_failure_is_usage_error(capsys):
+    # the AF outage-probability quadrature does not converge at 100 dB
+    with pytest.raises(SystemExit) as info:
+        main(["metrics", "--snr-db", "100", "--rate", "0.1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "AF outage probability integral did not converge" in err

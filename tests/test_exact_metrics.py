@@ -205,10 +205,11 @@ class TestAfOutageRate:
         with pytest.raises(MobilityError):
             aor_af(make_scenario(dopplers=(0.0, 0.0, 0.0)))
 
-    def test_reversed_inner_range_rejected(self):
-        # -30 dB, r0 = 8: the inner panel range [t_lo, t_hi] comes out reversed
-        with pytest.raises(ValueError):
-            aor_af(make_scenario(gamma0=1e-3, r0=8.0, omegas=(1.0, 0.01, 0.01)))
+    def test_empty_inner_range_gives_zero_rate(self):
+        # -30 dB, r0 = 8: the inner panel range [t_lo, t_hi] comes out
+        # reversed, as the e^-46 cuts leave no inner panel; the outer factor
+        # alone is at most exp(-g0^2/ox) ~ 10^-28461488
+        assert aor_af(make_scenario(gamma0=1e-3, r0=8.0, omegas=(1.0, 0.01, 0.01))) == 0.0
 
     @pytest.mark.parametrize("m", [8, 16, 32])
     @pytest.mark.parametrize("snr_db", [4.0, 40.0, 76.0])
@@ -301,10 +302,15 @@ class TestAuxiliaryGainStatistics:
             (2.0, 1.0, 4.0, 30.0, 3.0),
             (1.5, 1.0, 1.0 + 2e-5, 3.0, 7.0),  # just outside the limit branch
             (0.25, 5.0, 0.2, 40.0, 0.7),
+            # gains inside the old 1e-5 equal-gain window, where a limit
+            # branch was O(gap) off
+            (0.7, 1.0, 1.0 + 3e-6, 2.0, 5.0),
+            (3.0, 1.0, 1.0 + 9e-6, 2.0, 5.0),
+            (9.0, 2.0, 2.0 * (1.0 - 8e-6), 9.0, 0.4),
         ],
     )
     def test_lcr_u_against_quadrature_oracle(self, case):
-        assert lcr_u(*case) == pytest.approx(lcr_u_quadrature_oracle(*case), rel=1e-11)
+        assert lcr_u(*case) == pytest.approx(lcr_u_quadrature_oracle(*case), rel=1e-11, abs=0.0)
 
     def test_lcr_u_limit_branch_continuity(self):
         # values straddling the equal-parameter window stay within 1e-5 relative
@@ -342,7 +348,16 @@ class TestAuxiliaryGainStatistics:
         expo = -g0 * g0 / ox - z * z * (1.0 / oz - 1.0 / ox)
         f = z * np.sqrt(g0 * g0 * s2x + z * z * (s2z - s2x)) * np.exp(expo)
         ref = 4.0 / (math.sqrt(2.0 * math.pi) * ox * oz) * float(np.sum(rule.weights * f))
-        assert lcr_u(*case) == pytest.approx(ref, rel=1e-9)
+        assert lcr_u(*case) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def test_lcr_u_large_negative_exponent(self):
+        # -30 dB, strong direct link: w ~ -5.4e4; 80-digit mpmath value of
+        # the closed form at the same double arguments
+        sc = Scenario(1e-3, 1.0, LinkGains(10, 1, 1))
+        ld, th = derive(sc)
+        g = sc.gains
+        got = lcr_u(th.g0, g.omega_x, g.omega_z, ld.sigma2_x, ld.sigma2_z)
+        assert got == pytest.approx(3.5116083937141662e-129, rel=1e-12, abs=0.0)
 
     def test_lcr_u_symmetric_under_link_swap(self):
         # sqrt(X^2 + Z^2) does not care which link is which
@@ -369,6 +384,12 @@ class TestDecodeForward:
         # high-SNR closed form sqrt(2 pi) f_y g0 / sqrt(omega_y)
         assert got == pytest.approx(math.sqrt(2.0 * math.pi) * math.sqrt(2.0) * 0.1, rel=2e-3)
 
+    def test_rate_at_large_negative_exponent(self):
+        # 10 dB, r0 = 8, weak direct link: the crossing rate of U is a normal
+        # double far below the S-D term; 80-digit mpmath value
+        sc = Scenario(10.0, 8.0, LinkGains(0.01, 100, 100), NodeDopplers(0.3, 1, 0.7))
+        assert aor_df(sc) == pytest.approx(5.4878234622516396e-56, rel=1e-12, abs=0.0)
+
     def test_lower_bound_structure(self):
         for gamma_db in (0.0, 10.0, 20.0):
             sc = make_scenario(gamma0=10.0 ** (gamma_db / 10.0), omegas=(0.8, 1.7, 1.2))
@@ -389,6 +410,14 @@ class TestSelectionRelaying:
         assert p3 == pytest.approx(0.0547115, abs=5e-8)
         assert p4 == pytest.approx(0.5 * math.exp(-1.0), rel=1e-13)
         assert p4 == pytest.approx(0.1839397, abs=5e-8)
+
+    def test_equal_gain_switch_probability_extremes(self):
+        # p3 = exp(-u) P(2, u), u = g0^2 / (2 omega); 80-digit mpmath values
+        p3, _ = sr_switch_probs(1.0, 5e7, 5e7)  # u = 1e-8
+        assert p3 == pytest.approx(4.999999916666668e-17, rel=1e-13, abs=0.0)
+        p3, _ = sr_switch_probs(1.0, 1.0 / 1400.0, 1.0 / 1400.0)  # u = 700
+        assert p3 == pytest.approx(9.85967654375977e-305, rel=1e-12, abs=0.0)
+        assert sr_switch_probs(1.0, 1.0 / 1600.0, 1.0 / 1600.0) == (0.0, 0.0)  # u = 800
 
     @pytest.mark.parametrize("ox,oz", [(1.0, 1.0), (10.0, 1.0), (0.1, 1.0), (0.7, 2.3)])
     def test_switch_probabilities_brute_force(self, ox, oz):
