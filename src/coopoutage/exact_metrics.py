@@ -9,26 +9,34 @@ its downward level-crossing rate via Rice's formula, and the average outage
 duration (AOD) as OP / AOR.
 
 The AF expressions involve a one-dimensional integral (OP) and a
-two-dimensional integral (AOR); they are Gauss-Legendre sums refined by
-numerics.refine, with order schedule and relative tolerance op_af 16..1024
-doubling, tol (1e-8); aor_af 8, 16, 32, 64, 96 per panel, tol (1e-7).
-Direct, DF and SR are closed form with no quadrature: lcr_u, the crossing
-rate of sqrt(X^2 + Z^2) behind DF and SR, takes one of three closed paths
-(see its docstring).
+two-dimensional integral (AOR), both Gauss-Legendre sums.  op_af is refined
+by numerics.refine (orders 16..1024 doubling, tol 1e-8).  aor_af splits its
+grid into blocks, one (outer decade panel, inner decade panel) pair each,
+and numerics.refine_blocks raises the order (8, 12, 16, 24, 32, 48, 64, 96
+per panel) only of the blocks whose error estimate still counts against
+tol (1e-7).  Neither runs a Gauss-Laguerre cross-check.  Direct, DF and SR
+are closed form with no quadrature: lcr_u, the crossing rate of
+sqrt(X^2 + Z^2) behind DF and SR, takes one of three closed paths (see its
+docstring).
 
-op_af's relayed-path CDF uses the scaled Bessel function k1e, and the
-returned probability is clipped to [0, 1].  aor_af folds the separable
-factors of its integrand into the quadrature weights (exp(-1/(t oy))/t^2
-inner; exp(-(g0^2 - a)/ox - a(1/oy + 1/oz)) outer, which absorbs the
-exp(-g0^2/ox) prefactor), so every exponent is <= 0 and deep outage
-underflows to 0 instead of overflowing.  _af_rate_kernel evaluates the rest
-one outer panel at a time, against only the inner panels that start below
-that panel's cut psi*oz/(a_L(a_L + c1)) at its left edge a_L.
+op_af integrates over s = (g0^2 - a)/ox, so the outer density is e^-s on
+[0, min(g0^2/ox, psi)]; its relayed-path CDF is -expm1(-b) + e^-b(1 - x K1(x))
+with 1 - x K1(x) from its positive-term series for x < 1.8, so no node
+cancels, and the returned probability is clipped to [0, 1].  aor_af folds
+the separable factors of its integrand into the quadrature weights
+(exp(-1/(t oy))/t^2 inner; exp(-(g0^2 - a)/ox - a(1/oy + 1/oz)) outer, which
+absorbs the exp(-g0^2/ox) prefactor), so every exponent is <= 0 and deep
+outage underflows to 0 instead of overflowing.  Its top outer panel is
+mapped through a = g0^2 - span*u^2, which smooths the sqrt(g0^2 - a)
+endpoint.  An outer panel keeps only the inner panels that start below its
+cut psi*oz/(a_L(a_L + c1)) at its left edge a_L; _af_rate_kernel evaluates
+the rest for all blocks of one order at once.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -36,10 +44,10 @@ from scipy import special as _sp
 from .channel import MobilityError, Scenario, Thresholds, derive, rayleigh_lcr
 from .numerics import (
     _legendre_base,
-    check_laguerre,
     gauss_legendre,
     integrate_gauss,
     refine,
+    refine_blocks,
 )
 
 __all__ = [
@@ -66,6 +74,9 @@ _EQUAL_BRANCH_TOL = 1e-5
 
 # exp(-PSI) ~ 1e-20: integration cutoff for exponentially decaying tails
 _PSI = 46.0
+
+# aor_af's per-block order schedule (nodes per panel in each variable)
+_AF_RATE_ORDERS = (8, 12, 16, 24, 32, 48, 64, 96)
 
 
 class Protocol(Enum):
@@ -128,38 +139,63 @@ def aor_direct(scenario: Scenario) -> float:
 # variable-gain AF relaying
 
 
+# 1 - x K1(x) = sum_k c_k h^(2k+2) (d_k - 2 ln h), h = x/2, with
+# c_k = 1/(k! (k+1)!) and d_k = psi(k+1) + psi(k+2) = H_k + H_(k+1) - 2 gamma
+# (harmonic numbers H; DLMF 10.31.1).  Below _SERIES_X every term is
+# positive; at x = 1.8 the 14th is ~1e-19 of the sum.
+_SERIES_X = 1.8
+_SERIES_K = np.arange(14)
+_SERIES_C = np.array([1.0 / (math.factorial(k) * math.factorial(k + 1)) for k in _SERIES_K])
+_HARMONIC = np.cumsum([0.0] + [1.0 / j for j in range(1, _SERIES_K.size + 1)])
+_SERIES_D = _HARMONIC[:-1] + _HARMONIC[1:] - 2.0 * np.euler_gamma
+
+
+def _one_minus_xk1(x: np.ndarray) -> np.ndarray:
+    """1 - x K1(x) for x > 0, free of cancellation as x -> 0."""
+    out = np.empty_like(x)
+    big = x >= _SERIES_X
+    out[big] = 1.0 - x[big] * _sp.k1(x[big])
+    h = 0.5 * x[~big]
+    z = h * h
+    powers = np.power.outer(z, _SERIES_K)
+    out[~big] = z * (powers @ (_SERIES_C * _SERIES_D) - 2.0 * np.log(h) * (powers @ _SERIES_C))
+    return out
+
+
 def _af_relayed_cdf(a, c1: float, oy: float, oz: float):
-    """CDF of the relayed-path power Y^2 Z^2 / (Y^2 + Z^2 + C1) at level a."""
-    arg = 2.0 * np.sqrt(a * (a + c1) / (oy * oz))
-    # k1e(x) = e^x K1(x) does not underflow; its e^x goes into the exponent
-    cdf = 1.0 - arg * _sp.k1e(arg) * np.exp(-arg - a * (1.0 / oy + 1.0 / oz))
-    # the closed form is a probability; clip rounding noise at tiny a
-    return np.clip(cdf, 0.0, 1.0)
+    """CDF of the relayed-path power Y^2 Z^2 / (Y^2 + Z^2 + C1) at levels a > 0.
+
+    It is 1 - x K1(x) e^-b with x = 2 sqrt(a(a + c1)/(oy oz)) and
+    b = a(1/oy + 1/oz), taken as -expm1(-b) + e^-b (1 - x K1(x)): two
+    nonnegative terms, each accurate as a -> 0.
+    """
+    b = a * (1.0 / oy + 1.0 / oz)
+    return -np.expm1(-b) + np.exp(-b) * _one_minus_xk1(2.0 * np.sqrt(a * (a + c1) / (oy * oz)))
 
 
 def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
     """Outage probability of variable-gain AF relaying.
 
-    Single integral over the relayed-path power level, evaluated with
-    Gauss-Legendre order doubling until successive estimates agree to tol.
-    The result is clipped to [0, 1]: rounding in the outer sum can push it
-    past 1 at deep outage.
+    A single integral over the relayed-path power level a in [0, g0^2],
+    with the outer density folded in by a = g0^2 - ox*s: the integrand is
+    e^-s times the relayed-path CDF, over s in [0, min(g0^2/ox, psi)].
+    Gauss-Legendre order doubling (16..1024) runs until successive
+    estimates agree to tol.  The result is clipped to [0, 1]: rounding in
+    the sum can push it past 1 at deep outage.
     """
     g = scenario.gains
     _, th = derive(scenario)
     g0sq = th.g0**2
     if g0sq == 0.0:
         return 0.0
+    ox = g.omega_x
 
-    def f(a):
-        return (
-            np.exp(-(g0sq - a) / g.omega_x)
-            / g.omega_x
-            * _af_relayed_cdf(a, th.c1, g.omega_y, g.omega_z)
-        )
+    def f(s):
+        return np.exp(-s) * _af_relayed_cdf(g0sq - ox * s, th.c1, g.omega_y, g.omega_z)
 
+    s_hi = min(g0sq / ox, _PSI)
     p_out = refine(
-        lambda m: integrate_gauss(f, gauss_legendre(m, 0.0, g0sq)),
+        lambda m: integrate_gauss(f, gauss_legendre(m, 0.0, s_hi)),
         [16 << k for k in range(7)],
         tol,
         "AF outage probability integral",
@@ -167,29 +203,50 @@ def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
     return min(max(p_out, 0.0), 1.0)
 
 
-def _decade_panels(lo: float, hi: float, m: int):
-    """Gauss-Legendre rules of order m on geometric panels of [lo, hi], about one per decade.
-
-    Returns the left panel edges (n_pan,) and the nodes and weights
-    (n_pan, m), one row per panel.
-    """
+def _decade_edges(lo: float, hi: float) -> np.ndarray:
+    """Edges of geometric panels of [lo, hi], about one per decade."""
     n_pan = max(1, math.ceil(math.log10(hi / lo)))
     edges = np.geomspace(lo, hi, n_pan + 1)
-    left, right = edges[:-1, None], edges[1:, None]
-    if not np.all(left < right):
+    if not np.all(edges[:-1] < edges[1:]):
         raise ValueError(f"need increasing panel edges on [{lo}, {hi}]")
-    # the mapping gauss_legendre(m, left, right) applies, for all panels at once
+    return edges
+
+
+def _panel_rules(edges: np.ndarray, m: int):
+    """Gauss-Legendre nodes and weights of order m on each panel, shape (n_pan, m).
+
+    The mapping gauss_legendre(m, left, right) applies, for all panels at once.
+    """
     x, w = _legendre_base(m)
+    left, right = edges[:-1, None], edges[1:, None]
     half = 0.5 * (right - left)
-    return left[:, 0], left + half * (x + 1.0), half * w
+    return left + half * (x + 1.0), half * w
+
+
+def _outer_rules(edges: np.ndarray, m: int):
+    """_panel_rules, with the top panel mapped through a = g0^2 - span*u^2.
+
+    Near a = g0^2 (the last edge) the AF rate integrand carries
+    sqrt(g0^2 - a), from the (g0^2 - a)*sigma2_x term of its variance, and
+    with ox << g0^2 the outer weight peaks there with width ox.  The
+    quadratic map (weight factor 2u) makes both smooth in u.
+    """
+    a, wa = _panel_rules(edges, m)
+    x, w = _legendre_base(m)
+    u = 0.5 * (x + 1.0)
+    span = edges[-1] - edges[-2]
+    a[-1] = edges[-1] - span * u * u
+    wa[-1] = w * span * u
+    return a, wa
 
 
 def _af_rate_kernel(a, t, g0sq, c1, s2x, s2y, s2z, oz):
     """Non-separable part of the AF outage-rate integrand on the grid a x t.
 
     Returns sqrt(svar) * P * exp(-a(a + c1)t/oz) with P = (at + 1)(at + c1t + 1),
-    for a column of outer nodes a (or a scalar) and a row of inner nodes t;
-    aor_af holds the separable factors in its weights.  Here
+    for outer nodes a and inner nodes t that broadcast against each other
+    (aor_af: shapes (blocks, m, 1) and (blocks, 1, m)); aor_af holds the
+    separable factors in its weights.  Here
         svar P^2 = (g0^2 - a) s2x P^2 + a^2 (a + c1)^2 s2y t^3 (at + 1)
                    + a s2z (at + c1t + 1),
     a sum of nonnegative terms built in three grid-sized buffers updated in
@@ -216,30 +273,28 @@ def _af_rate_kernel(a, t, g0sq, c1, s2x, s2y, s2z, oz):
 def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     """Average outage rate (Hz) of variable-gain AF relaying.
 
-    The outer integral (over the relayed-path power level a) uses
-    Gauss-Legendre on [0, g0^2].  The inner semi-infinite integral spans up
-    to ~log10(psi^2 * oy * oz / (a_min * (a_min + c1))) decades of scale, so
-    it is evaluated on geometric panels (one Gauss-Legendre rule per decade)
-    between the rising exp(-1/(t*oy)) cutoff and the decaying
-    exp(-a*t*(a+c1)/oz) cutoff.  Both directions are refined together
-    (orders 8, 16, 32, 64, 96 per panel) until the result is stable to tol.
+    The outer integral (over the relayed-path power level a) runs over
+    [0, g0^2] on geometric panels, one Gauss-Legendre rule per decade, the
+    top one mapped through a = g0^2 - span*u^2 (see _outer_rules).  The
+    inner semi-infinite integral spans up to
+    ~log10(psi^2 * oy * oz / (a_min * (a_min + c1))) decades of scale, so it
+    is evaluated on geometric panels too, between the rising
+    exp(-1/(t*oy)) cutoff and the decaying exp(-a*t*(a+c1)/oz) cutoff.
+
+    A block is one (outer panel, inner panel) pair.  An outer panel with
+    left edge a_L keeps the inner panels starting below
+    psi*oz/(a_L*(a_L + c1)), past which exp(-a*(a+c1)*t/oz) < exp(-psi) for
+    every a in the panel.  numerics.refine_blocks raises the order of each
+    block separately (8, 12, 16, 24, 32, 48, 64, 96 per panel), only while
+    its error estimate (the change from its previous order) still counts
+    against tol times the total.
 
     The separable factors of the integrand are folded into the weights:
     exp(-1/(t*oy))/t^2 into the inner ones and
     exp(-(g0^2 - a)/ox - a*(1/oy + 1/oz)) into the outer ones, which absorbs
     the exp(-g0^2/ox) prefactor.  Every exponent is then <= 0, so deep
     outage underflows towards 0 instead of overflowing.  Only
-    _af_rate_kernel is evaluated on the grid, one outer panel at a time
-    against the inner panels it needs: an outer panel with left edge a_L
-    keeps the inner panels starting below psi*oz/(a_L*(a_L + c1)), past
-    which exp(-a*(a+c1)*t/oz) < exp(-psi) for every a in the panel.
-
-    When the two inner scales are close (low SNR) a plain Gauss-Laguerre
-    evaluation of the inner integral is computed at the median outer node as
-    an independent consistency check; a LaguerreDisagreement warning flags
-    gross disagreement.  At high SNR the scales separate by many decades
-    and the unscaled Laguerre rule is not a meaningful monitor, so the
-    check is skipped there.
+    _af_rate_kernel is evaluated, for all blocks of one order at once.
     """
     _require_mobility(scenario)
     g = scenario.gains
@@ -261,38 +316,29 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
         # no t lies inside both e^-psi cuts, so no inner panel is left
         return 0.0
 
-    def inner_factor(t):
-        return np.exp(-1.0 / (t * oy)) / (t * t)
+    a_edges = _decade_edges(a_head, g0sq)
+    t_edges = _decade_edges(t_lo, t_hi)
+    a_left = a_edges[:-1]
+    n_keep = np.searchsorted(t_edges[:-1], _PSI * oz / (a_left * (a_left + c1)))
+    blk_a = np.repeat(np.arange(a_left.size), n_keep)
+    blk_t = np.concatenate([np.arange(n) for n in n_keep])
 
-    def evaluate(m: int) -> float:
-        a_left, a, wa = _decade_panels(a_head, g0sq, m)
-        t_left, t, wt = _decade_panels(t_lo, t_hi, m)
+    @lru_cache(maxsize=None)
+    def grid(m: int):
+        a, wa = _outer_rules(a_edges, m)
+        t, wt = _panel_rules(t_edges, m)
         wa *= np.exp(-(g0sq - a) / ox - a * (1.0 / oy + 1.0 / oz))
-        wt *= inner_factor(t)
-        t, wt = t.ravel(), wt.ravel()
-        # per outer panel, the inner nodes of the panels starting below its cut
-        n_keep = m * np.searchsorted(t_left, _PSI * oz / (a_left * (a_left + c1)))
-        total = 0.0
-        for ap, wap, n in zip(a, wa, n_keep):
-            if n:
-                total += wap @ (_af_rate_kernel(ap[:, None], t[:n], *args) @ wt[:n])
-        return float(total)
+        wt *= np.exp(-1.0 / (t * oy)) / (t * t)
+        return a, wa, t, wt
 
-    cur = refine(evaluate, (8, 16, 32, 64, 96), tol, "AF outage rate integral")
+    def blocks(m: int, idx: np.ndarray) -> np.ndarray:
+        a, wa, t, wt = grid(m)
+        ia, it = blk_a[idx], blk_t[idx]
+        kern = _af_rate_kernel(a[ia, :, None], t[it, None, :], *args)
+        return np.einsum("bi,bij,bj->b", wa[ia], kern, wt[it])
 
-    if t_hi / t_lo < 1e4:
-        # the unscaled Laguerre rule is only a meaningful monitor when the
-        # inner rising/decaying scales overlap (low to moderate SNR)
-        a_star = 0.5 * g0sq
-        _, t, wt = _decade_panels(t_lo, t_hi, 64)
-
-        def inner(ts):
-            return _af_rate_kernel(a_star, ts, *args) * inner_factor(ts)
-
-        ref = float(inner(t.ravel()) @ wt.ravel())
-        check_laguerre(inner, ref, 1e-2, "the AF rate inner integral")
-
-    return math.sqrt(2.0 / math.pi) / (ox * oy * oz) * cur
+    total = refine_blocks(blocks, blk_a.size, _AF_RATE_ORDERS, tol, "AF outage rate integral")
+    return math.sqrt(2.0 / math.pi) / (ox * oy * oz) * total
 
 
 # ---------------------------------------------------------------------------

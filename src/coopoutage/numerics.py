@@ -9,10 +9,12 @@ integrals of exponentially decaying integrands.
 Quadrature nodes and weights are generated by Newton iteration on the
 orthogonal-polynomial recurrences (no table lookup), so any order works.
 
-Every quadrature order loop in the package is the one driver `refine`,
-each caller with its own order schedule and tolerance (here
-integrate_semi_infinite: order0 doubled up to max_order, 64..1024 by
-default); every Gauss-Laguerre cross-check is `check_laguerre`.
+Every quadrature order loop in the package lives here: `refine` raises
+the order of a whole integral (integrate_semi_infinite: order0 doubled up
+to max_order, 64..1024 by default; exact_metrics.op_af), `refine_blocks`
+that of each block of a split integral separately (exact_metrics.aor_af),
+each caller with its own order schedule and tolerance.  Every
+Gauss-Laguerre cross-check is `check_laguerre`.
 """
 
 import math
@@ -34,6 +36,7 @@ __all__ = [
     "mapped_legendre",
     "integrate_gauss",
     "refine",
+    "refine_blocks",
     "check_laguerre",
     "integrate_semi_infinite",
     "bessel_k0",
@@ -244,6 +247,54 @@ def refine(estimate: Callable[[int], float], orders: Iterable[int], tol: float, 
         if prev is not None and abs(cur - prev) <= tol * max(abs(cur), np.finfo(float).tiny):
             return cur
     raise ConvergenceError(f"{what} did not converge by order {m}: {prev!r}, {cur!r}", (prev, cur))
+
+
+def refine_blocks(
+    values: Callable[[int, np.ndarray], np.ndarray],
+    n_blocks: int,
+    orders: Iterable[int],
+    tol: float,
+    what: str,
+) -> float:
+    """Sum of n_blocks block integrals, each raised along orders only while its error counts.
+
+    values(m, idx) returns the order-m values of the blocks idx (an index
+    array).  Every block starts at the first two orders; its error estimate
+    is the difference of its last two values.  While the summed error
+    exceeds tol * |total|, the blocks with the largest errors move to their
+    next order, just enough of them that the errors left behind fit half of
+    that budget; each round calls values once per target order.  Returns
+    the total of the latest block values.  If a block that must move is
+    already at the last order, raises ConvergenceError carrying the last
+    two totals.
+    """
+    orders = tuple(orders)
+    if len(orders) < 2:
+        raise ValueError("refine_blocks needs at least two orders")
+    every = np.arange(n_blocks)
+    level = np.ones(n_blocks, dtype=int)
+    lo = values(orders[0], every)
+    hi = values(orders[1], every)
+    prev, cur = float(np.sum(lo)), float(np.sum(hi))
+    while True:
+        err = np.abs(hi - lo)
+        budget = tol * max(abs(cur), np.finfo(float).tiny)
+        if np.sum(err) <= budget:
+            return cur
+        # the smallest errors whose sum fits budget / 2 stay; the rest move on
+        by_err = np.argsort(err)
+        n_stay = np.searchsorted(np.cumsum(err[by_err]), 0.5 * budget, side="right")
+        raise_idx = by_err[n_stay:]
+        if np.any(level[raise_idx] == len(orders) - 1):
+            raise ConvergenceError(
+                f"{what} did not converge by order {orders[-1]}: {prev!r}, {cur!r}", (prev, cur)
+            )
+        for lev in np.unique(level[raise_idx]):
+            idx = raise_idx[level[raise_idx] == lev]
+            lo[idx] = hi[idx]
+            hi[idx] = values(orders[lev + 1], idx)
+            level[idx] += 1
+        prev, cur = cur, float(np.sum(hi))
 
 
 def check_laguerre(f: Callable[[np.ndarray], np.ndarray], reference: float, rtol: float, what: str):

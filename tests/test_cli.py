@@ -292,9 +292,10 @@ def test_snr_overflow_names_the_snr():
 
 
 def test_convergence_failure_is_usage_error(capsys):
-    # the AF outage-probability quadrature does not converge at 100 dB
+    # the AF outage-rate quadrature does not resolve the narrow inner peak
+    # of the weak S-D link at -8 dB
     with pytest.raises(SystemExit) as info:
-        main(["metrics", "--snr-db", "100", "--rate", "0.1"])
+        main(["metrics", "--snr-db", "-8", "--rate", "2", "--omega", "0.1,1,1", "--protocols", "af"])
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert "AF outage probability integral did not converge" in err
+    assert "AF outage rate integral did not converge" in err

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopoutage import exact_metrics
+from coopoutage.asym_metrics import asym
 from coopoutage.channel import LinkGains, MobilityError, NodeDopplers, Scenario, derive
 from coopoutage.exact_metrics import (
     Protocol,
@@ -25,7 +26,7 @@ from coopoutage.exact_metrics import (
     prob_u_exceeds,
     sr_switch_probs,
 )
-from coopoutage.numerics import gauss_legendre, refine
+from coopoutage.numerics import gauss_legendre
 
 # Monte Carlo pins (independent oracles, frozen):
 # - static sampling of the AF equivalent gain, 6e7 iid Rayleigh triples
@@ -82,14 +83,18 @@ def sweep_scenario(shape, snr_db):
 
 
 def af_rate_grid(scenario, m):
-    """aor_af's outer and inner decade-panel rules of order m, flattened."""
+    """aor_af's outer and inner decade-panel rules of order m, flattened.
+
+    Plain Gauss-Legendre on every panel: aor_af maps its top outer panel
+    quadratically, this grid does not.
+    """
     _, th = derive(scenario)
     g = scenario.gains
     g0sq, psi = th.g0**2, exact_metrics._PSI
     a_head = 1e-10 * g0sq
-    _, a, wa = exact_metrics._decade_panels(a_head, g0sq, m)
+    a, wa = exact_metrics._panel_rules(exact_metrics._decade_edges(a_head, g0sq), m)
     t_hi = psi * g.omega_z / (a_head * (a_head + th.c1))
-    _, t, wt = exact_metrics._decade_panels(1.0 / (psi * g.omega_y), t_hi, m)
+    t, wt = exact_metrics._panel_rules(exact_metrics._decade_edges(1.0 / (psi * g.omega_y), t_hi), m)
     return a.ravel(), wa.ravel(), t.ravel(), wt.ravel()
 
 
@@ -176,6 +181,20 @@ class TestAfOutageProbability:
         )
         assert 0.0 <= op_af(sc) <= 1.0
 
+    def test_high_snr_matches_asymptote(self):
+        # 100 dB: the relayed-path CDF is ~1e-11 at every node; 1 - x K1(x)
+        # from its series keeps it free of cancellation
+        sc = Scenario(1e10, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = op_af(sc)
+            ref = asym(sc, Protocol.AF).p_out
+        assert got == pytest.approx(ref, rel=1e-7, abs=0.0)
+
+    def test_certain_outage_at_low_snr(self):
+        # -30 dB, r0 = 8: the outer density is a width-1 peak at a = g0^2 ~ 6.6e7
+        assert op_af(Scenario(1e-3, 8.0, gains=LinkGains(1.0, 0.01, 0.01))) == 1.0
+
     def test_nonincreasing_in_each_gain(self):
         for slot in range(3):
             prev = None
@@ -227,15 +246,22 @@ class TestAfOutageRate:
             a[:, None], t, g0sq, th.c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oz
         )
         got = math.sqrt(2.0 / math.pi) / (ox * oy * oz) * float(wa @ (kern @ wt))
-        assert got == pytest.approx(af_rate_node_sum(sc, m), rel=1e-13)
+        assert got == pytest.approx(af_rate_node_sum(sc, m), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("snr_db", [4.0, 40.0, 76.0])
     @pytest.mark.parametrize("shape", list(SWEEP_SHAPES))
-    def test_panel_cut_matches_refined_node_sum(self, shape, snr_db):
-        # same schedule and tol as aor_af; the per-panel inner cut drops < e^-46
+    def test_block_orders_meet_tolerance(self, shape, snr_db):
+        # against the full order-96 grid with no inner cut and no top-panel map
         sc = sweep_scenario(shape, snr_db)
-        ref = refine(lambda m: af_rate_node_sum(sc, m), (8, 16, 32, 64, 96), 1e-7, "reference")
-        assert aor_af(sc) == pytest.approx(ref, rel=1e-13)
+        ref = af_rate_node_sum(sc, 96)
+        assert aor_af(sc) == pytest.approx(ref, rel=1e-7, abs=0.0)
+        assert aor_af(sc, tol=1e-9) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def test_outer_peak_at_threshold(self):
+        # ox = 0.01 << g0^2 = 65.5: the outer weight peaks at a = g0^2 with
+        # width ox; a 5000 x 300 nodes-per-panel grid gives 0.61699762420132
+        sc = Scenario(1e3, 8.0, LinkGains(0.01, 100.0, 100.0), NodeDopplers(0.3, 1.0, 0.7))
+        assert aor_af(sc) == pytest.approx(0.6169976242013, rel=1e-7, abs=0.0)
 
     def test_deep_outage_is_finite(self):
         # weak S-D link at -10 dB, 1/ox > 1/oy + 1/oz: the unfolded exponent

@@ -21,6 +21,7 @@ from coopoutage.numerics import (
     integrate_semi_infinite,
     mapped_legendre,
     refine,
+    refine_blocks,
     upper_inc_gamma_3_2,
 )
 
@@ -214,6 +215,46 @@ class TestRefine:
         with pytest.raises(ConvergenceError, match="test integral") as info:
             refine(lambda m: 1.0 / m, (4, 8, 16), 1e-9, "test integral")
         assert info.value.estimates == (1.0 / 8, 1.0 / 16)
+
+
+class TestRefineBlocks:
+    # int_0^1 int_0^2 sqrt(x) e^-y dy dx on 4 x 5 blocks; the sqrt(x)
+    # endpoint slows down only the blocks of the first x panel
+    X_EDGES = np.linspace(0.0, 1.0, 5)
+    Y_EDGES = np.linspace(0.0, 2.0, 6)
+    EXACT = 2.0 / 3.0 * -math.expm1(-2.0)
+
+    def block_values(self, calls):
+        bx, by = np.divmod(np.arange(20), 5)
+
+        def values(m, idx):
+            calls.append((m, idx))
+            out = []
+            for i, j in zip(bx[idx], by[idx]):
+                rx = gauss_legendre(m, self.X_EDGES[i], self.X_EDGES[i + 1])
+                ry = gauss_legendre(m, self.Y_EDGES[j], self.Y_EDGES[j + 1])
+                out.append(integrate_gauss(np.sqrt, rx) * integrate_gauss(lambda y: np.exp(-y), ry))
+            return np.array(out)
+
+        return values
+
+    def test_separable_integral(self):
+        calls = []
+        orders = (4, 8, 16, 32, 64, 128, 256, 512, 1024)
+        got = refine_blocks(self.block_values(calls), 20, orders, 1e-8, "test integral")
+        assert got == pytest.approx(self.EXACT, rel=1e-8, abs=0.0)
+        assert [m for m, _ in calls[:2]] == [4, 8]
+        # past the first two orders only blocks of the first x panel move on
+        assert all(m > 8 for m, _ in calls[2:])
+        assert all(np.all(idx < 5) for _, idx in calls[2:])
+
+    def test_raises_with_last_two_totals(self):
+        calls = []
+        with pytest.raises(ConvergenceError, match="test integral") as info:
+            refine_blocks(self.block_values(calls), 20, (2, 4, 8), 1e-12, "test integral")
+        prev, cur = info.value.estimates
+        assert prev != cur
+        assert cur == pytest.approx(self.EXACT, rel=1e-3)
 
 
 class TestBesselK:
