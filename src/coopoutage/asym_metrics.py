@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import Scenario, derive
+from .channel import Scenario
 from .exact_metrics import Protocol, _require_mobility
 
 __all__ = [
@@ -87,7 +87,7 @@ def _coefficients(scenario: Scenario, protocol: Protocol) -> tuple[float, float,
     """
     _require_mobility(scenario)
     g = scenario.gains
-    ld, th = derive(scenario)
+    ld, th = scenario.derived
     sx = math.sqrt(ld.sigma2_x)
     sy = math.sqrt(ld.sigma2_y)
     sz = math.sqrt(ld.sigma2_z)

@@ -6,10 +6,15 @@ with Rayleigh envelopes; node mobility makes the gains time varying with
 mobile-to-mobile (product-J0) autocorrelation, so each link's gain
 derivative is zero-mean Gaussian with variance pi^2 * omega * f_m^2 built
 from the two terminal Dopplers of that link.
+
+derive(scenario) turns an operating point into those link quantities and
+the outage thresholds.  A Scenario derives itself once, on first use of
+its ``derived`` attribute, and every metric reads that cached value.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "MobilityError",
@@ -91,6 +96,10 @@ class Scenario:
     gamma0 is the transmit SNR (linear), r0 the target spectral efficiency
     in b/s/Hz.  y0 is the relay-activation threshold of selection
     relaying; None selects the usual choice y0 = g0.
+
+    ``derived`` is derive(self), computed once on first use and kept on the
+    instance.  It is not a field, so equality, hashing, repr and
+    dataclasses.replace ignore it, and a replaced scenario derives afresh.
     """
 
     gamma0: float
@@ -108,6 +117,11 @@ class Scenario:
             raise ValueError("r0 must be finite and nonnegative")
         if self.y0 is not None and not (math.isfinite(self.y0) and self.y0 > 0.0):
             raise ValueError("explicit y0 must be finite and strictly positive")
+
+    @cached_property
+    def derived(self) -> "tuple[LinkDerived, Thresholds]":
+        """(link quantities, thresholds) of this scenario: derive(self), once."""
+        return derive(self)
 
 
 @dataclass(frozen=True)

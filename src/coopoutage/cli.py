@@ -386,7 +386,7 @@ def main(argv=None) -> int:
     opt = _Options(args, parser)
     try:
         return _COMMANDS[args.command](opt)
-    except (MobilityError, ConvergenceError) as exc:
+    except (MobilityError, ConvergenceError, OverflowError) as exc:
         parser.error(str(exc))
 
 

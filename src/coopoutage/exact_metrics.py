@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
-from .channel import MobilityError, Scenario, Thresholds, derive, rayleigh_lcr
+from .channel import MobilityError, Scenario, Thresholds, rayleigh_lcr
 from .numerics import (
     _legendre_base,
     gauss_legendre,
@@ -89,7 +89,7 @@ class Protocol(Enum):
 
     @property
     def diversity_gain(self) -> int:
-        return {Protocol.DIRECT: 1, Protocol.AF: 2, Protocol.DF: 1, Protocol.SR: 2}[self]
+        return 2 if self is Protocol.AF or self is Protocol.SR else 1
 
     def level(self, th: Thresholds) -> float:
         """Outage threshold of the equivalent gain: x0 for direct, g0 otherwise."""
@@ -101,7 +101,8 @@ class OutageMetrics:
     """Outage probability, rate (Hz) and mean duration (s) at one operating point.
 
     aod is None when the rate is zero (no outages, duration undefined);
-    otherwise aod * aor == p_out holds by construction.
+    otherwise aod * aor == p_out holds by construction (metrics raises
+    OverflowError where the quotient would leave the float range).
     """
 
     p_out: float
@@ -124,14 +125,14 @@ def _require_mobility(scenario: Scenario):
 
 def op_direct(scenario: Scenario) -> float:
     """Outage probability of direct transmission."""
-    _, th = derive(scenario)
+    _, th = scenario.derived
     return -math.expm1(-th.x0**2 / scenario.gains.omega_x)
 
 
 def aor_direct(scenario: Scenario) -> float:
     """Average outage rate (Hz) of direct transmission."""
     _require_mobility(scenario)
-    ld, th = derive(scenario)
+    ld, th = scenario.derived
     return rayleigh_lcr(th.x0, scenario.gains.omega_x, ld.sigma2_x)
 
 
@@ -184,7 +185,7 @@ def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
     the sum can push it past 1 at deep outage.
     """
     g = scenario.gains
-    _, th = derive(scenario)
+    _, th = scenario.derived
     g0sq = th.g0**2
     if g0sq == 0.0:
         return 0.0
@@ -298,7 +299,7 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     """
     _require_mobility(scenario)
     g = scenario.gains
-    ld, th = derive(scenario)
+    ld, th = scenario.derived
     g0sq = th.g0**2
     if g0sq == 0.0:
         return 0.0
@@ -435,7 +436,7 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
 def op_df(scenario: Scenario) -> float:
     """Outage probability of DF relaying (repetition coding, full decoding)."""
     g = scenario.gains
-    _, th = derive(scenario)
+    _, th = scenario.derived
     g0sq = th.g0**2
     return 1.0 - math.exp(-g0sq / g.omega_y) * prob_u_exceeds(th.g0, g.omega_x, g.omega_z)
 
@@ -444,7 +445,7 @@ def aor_df(scenario: Scenario) -> float:
     """Average outage rate (Hz) of DF relaying."""
     _require_mobility(scenario)
     g = scenario.gains
-    ld, th = derive(scenario)
+    ld, th = scenario.derived
     n_y = rayleigh_lcr(th.g0, g.omega_y, ld.sigma2_y)
     n_u = lcr_u(th.g0, g.omega_x, g.omega_z, ld.sigma2_x, ld.sigma2_z)
     p_u = prob_u_exceeds(th.g0, g.omega_x, g.omega_z)
@@ -486,7 +487,7 @@ def sr_switch_probs(g0: float, omega_x: float, omega_z: float) -> tuple[float, f
 def op_sr(scenario: Scenario) -> float:
     """Outage probability of selection DF relaying."""
     g = scenario.gains
-    _, th = derive(scenario)
+    _, th = scenario.derived
     g0sq = th.g0**2
     p_y_le = -math.expm1(-th.y0**2 / g.omega_y)
     p_2x_le = -math.expm1(-g0sq / (2.0 * g.omega_x))
@@ -504,7 +505,7 @@ def aor_sr(scenario: Scenario) -> float:
     """
     _require_mobility(scenario)
     g = scenario.gains
-    ld, th = derive(scenario)
+    ld, th = scenario.derived
     p_y_le = -math.expm1(-th.y0**2 / g.omega_y)
     p_y_gt = 1.0 - p_y_le
     n_2x = rayleigh_lcr(th.g0 / math.sqrt(2.0), g.omega_x, ld.sigma2_x)
@@ -527,9 +528,15 @@ _EXACT = {
 
 
 def metrics(scenario: Scenario, protocol: Protocol) -> OutageMetrics:
-    """Exact OP, AOR and AOD for one protocol at one operating point."""
+    """Exact OP, AOR and AOD for one protocol at one operating point.
+
+    Raises OverflowError when the rate is so small (subnormal) that
+    AOD = OP/AOR exceeds the float range, where OP = AOR*AOD cannot hold.
+    """
     op, rate = _EXACT[protocol]
     p_out = op(scenario)
     aor = rate(scenario)
     aod = p_out / aor if aor > 0.0 else None
+    if aod == math.inf:
+        raise OverflowError(f"{protocol.value}: outage duration OP/AOR overflows at AOR {aor:.6g} Hz")
     return OutageMetrics(p_out=p_out, aor=aor, aod=aod)

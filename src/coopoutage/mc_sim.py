@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import Scenario, Thresholds, derive
+from .channel import Scenario, Thresholds
 from .exact_metrics import OutageMetrics, Protocol, metrics
 
 __all__ = [
@@ -391,7 +391,7 @@ def validate(
     the idealised relayed-path composition.
     """
     exact = metrics(scenario, protocol)
-    _, th = derive(scenario)
+    _, th = scenario.derived
     th_mc = replace(th, c1=0.0) if zero_c1 else th
     counts = CrossingCounts()
     for r in range(cfg.n_realizations):

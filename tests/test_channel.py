@@ -1,10 +1,13 @@
 """Scenario derivation, Rayleigh statistics, and threshold scaling."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from coopoutage import Protocol, asym, channel, metrics
 from coopoutage.channel import (
     LinkGains,
     NodeDopplers,
@@ -67,6 +70,47 @@ class TestDerive:
         assert ld.sigma2_x == pytest.approx(pi2 * ox * (fs**2 + fd**2), rel=1e-15)
         assert ld.sigma2_y == pytest.approx(pi2 * oy * (fs**2 + fr**2), rel=1e-15)
         assert ld.sigma2_z == pytest.approx(pi2 * oz * (fr**2 + fd**2), rel=1e-15)
+
+
+class TestDerivedCache:
+    def test_computed_once_and_equal_to_derive(self):
+        sc = make_scenario(omegas=(0.7, 1.3, 2.4), dopplers=(1.5, 0.4, 2.2), y0=0.3)
+        assert sc.derived is sc.derived
+        assert sc.derived == derive(sc)
+
+    def test_not_part_of_value_identity(self):
+        filled, fresh = make_scenario(), make_scenario()
+        filled.derived  # fills the cache of one of the two
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        assert "derived" not in repr(filled)
+
+    def test_replaced_scenario_derives_afresh(self):
+        sc = make_scenario(gamma0=100.0)
+        sc.derived  # a filled cache must not travel with replace
+        other = dataclasses.replace(sc, gamma0=10000.0)
+        assert other.derived[1] == derive(other)[1]
+        assert other.derived[1].g0 == pytest.approx(0.1 * sc.derived[1].g0, rel=1e-12)
+
+    def test_metrics_and_asym_derive_once_per_scenario(self, monkeypatch):
+        calls = []
+        original = channel.derive
+
+        def counting(scenario):
+            calls.append(scenario)
+            return original(scenario)
+
+        # every module global bound to derive, so a direct call is counted too
+        for name, module in list(sys.modules.items()):
+            if name == "coopoutage" or name.startswith("coopoutage."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        sc = make_scenario(gamma0=1000.0)
+        for protocol in Protocol:
+            metrics(sc, protocol)
+            asym(sc, protocol)
+        assert len(calls) == 1
 
 
 class TestValidation:

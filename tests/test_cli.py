@@ -286,6 +286,23 @@ def test_bad_input_is_usage_error(argv, capsys):
     assert info.value.code == 2
 
 
+def test_duration_overflow_is_usage_error(capsys):
+    # domain_grid seed-1 edge row 239: the DF outage rate is 1.0189e-319 Hz
+    with pytest.raises(SystemExit) as info:
+        main(
+            [
+                "metrics",
+                "--snr-db=18.315538255850498",
+                "--rate=7.069362126254593",
+                "--omega=6.30367787817034,0.38063019462127684,0.28477033895565684",
+                "--doppler=0,4.862880506459804,5.242090176308804",
+                "--protocols=df",
+            ]
+        )
+    assert info.value.code == 2
+    assert "df: outage duration OP/AOR overflows" in capsys.readouterr().err
+
+
 def test_snr_overflow_names_the_snr():
     with pytest.raises(ValueError, match="4000 dB"):
         db_to_linear(4000.0)

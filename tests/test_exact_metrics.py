@@ -528,6 +528,33 @@ class TestMetricsDispatch:
         m = metrics(make_scenario(r0=0.0), Protocol.DIRECT)
         assert m.p_out == 0.0 and m.aor == 0.0 and m.aod is None
 
+    @pytest.mark.parametrize(
+        "protocol, snr_db, r0, omegas, dopplers",
+        [
+            # domain_grid seed-1 edge rows 239 and 1404: AOR is subnormal
+            (
+                Protocol.DF,
+                18.315538255850498,
+                7.069362126254593,
+                (6.30367787817034, 0.38063019462127684, 0.28477033895565684),
+                (0.0, 4.862880506459804, 5.242090176308804),
+            ),
+            (
+                Protocol.DIRECT,
+                -29.957233878731508,
+                0.3954003129979202,
+                (0.42129706206422557, 2.9636436762451774, 0.17495258300931466),
+                (0.0, 0.11957200445754375, 4.681943344050389),
+            ),
+        ],
+    )
+    def test_subnormal_rate_raises_instead_of_infinite_duration(self, protocol, snr_db, r0, omegas, dopplers):
+        sc = make_scenario(gamma0=10.0 ** (snr_db / 10.0), r0=r0, omegas=omegas, dopplers=dopplers)
+        op, rate = exact_metrics._EXACT[protocol]
+        assert 0.0 < rate(sc) < 1e-300 and op(sc) > 0.0
+        with pytest.raises(OverflowError, match=f"{protocol.value}: .* AOR"):
+            metrics(sc, protocol)
+
     def test_block_durations_at_20db(self):
         # mean outage durations in coding blocks at f_m T = 1e-3
         expected = {Protocol.SR: 13.0, Protocol.AF: 14.0, Protocol.DF: 28.0, Protocol.DIRECT: 18.0}
