@@ -11,32 +11,35 @@ duration (AOD) as OP / AOR.
 The AF expressions involve a one-dimensional integral (OP) and a
 two-dimensional integral (AOR), both Gauss-Legendre sums.  op_af is refined
 by numerics.refine (orders 16..1024 doubling, tol 1e-8).  aor_af splits its
-grid into blocks, one (outer decade panel, inner decade panel) pair each,
-and numerics.refine_blocks raises the order (8, 12, 16, 24, 32, 48, 64, 96
-per panel) only of the blocks whose error estimate still counts against
-tol (1e-7).  Neither runs a Gauss-Laguerre cross-check.  Direct, DF and SR
-are closed form with no quadrature: lcr_u, the crossing rate of
-sqrt(X^2 + Z^2) behind DF and SR, takes one of three closed paths (see its
-docstring).
+outer range into geometric panels and gives every outer node its own inner
+rule in ln t, over the window where the inner exponents stay within psi of
+their peak; a block is one outer panel, and numerics.refine_blocks raises
+the (outer, inner) orders ((8, 48), (12, 64), ... (96, 512)) only of the
+blocks whose error estimate still counts against tol (1e-7).  Neither runs
+a Gauss-Laguerre cross-check.  Direct, DF and SR are closed form with no
+quadrature: lcr_u, the crossing rate of sqrt(X^2 + Z^2) behind DF and SR,
+takes one of three closed paths (see its docstring).
 
 op_af integrates over s = (g0^2 - a)/ox, so the outer density is e^-s on
 [0, min(g0^2/ox, psi)]; its relayed-path CDF is -expm1(-b) + e^-b(1 - x K1(x))
 with 1 - x K1(x) from its positive-term series for x < 1.8, so no node
 cancels, and the returned probability is clipped to [0, 1].  aor_af folds
 the separable factors of its integrand into the quadrature weights
-(exp(-1/(t oy))/t^2 inner; exp(-(g0^2 - a)/ox - a(1/oy + 1/oz)) outer, which
+(exp(-1/(t oy))/t inner; exp(-(g0^2 - a)/ox - a(1/oy + 1/oz)) outer, which
 absorbs the exp(-g0^2/ox) prefactor), so every exponent is <= 0 and deep
-outage underflows to 0 instead of overflowing.  Its top outer panel is
-mapped through a = g0^2 - span*u^2, which smooths the sqrt(g0^2 - a)
-endpoint.  An outer panel keeps only the inner panels that start below its
-cut psi*oz/(a_L(a_L + c1)) at its left edge a_L; _af_rate_kernel evaluates
-the rest for all blocks of one order at once.
+outage underflows to 0 instead of overflowing.  Its outer panels are
+decades of a, with the top decade graded in g0^2 - a down to about ox and
+its last sliver mapped through a = g0^2 - span*u^2, which smooths the
+sqrt(g0^2 - a) endpoint.  The inner window of outer node a is
+|ln t - ln t*| <= arccosh(1 + psi/(2 sqrt(AB))), with A = 1/oy,
+B = a(a + c1)/oz and t* = sqrt(A/B): the two e^-psi cuts where they are far
+apart, a band around the merged peak t* at deep outage.  _af_rate_kernel
+evaluates the integrand for all blocks of one order pair at once.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -44,8 +47,6 @@ from scipy import special as _sp
 from .channel import MobilityError, Scenario, Thresholds, rayleigh_lcr
 from .numerics import (
     _legendre_base,
-    gauss_legendre,
-    integrate_gauss,
     refine,
     refine_blocks,
 )
@@ -75,8 +76,9 @@ _EQUAL_BRANCH_TOL = 1e-5
 # exp(-PSI) ~ 1e-20: integration cutoff for exponentially decaying tails
 _PSI = 46.0
 
-# aor_af's per-block order schedule (nodes per panel in each variable)
-_AF_RATE_ORDERS = (8, 12, 16, 24, 32, 48, 64, 96)
+# aor_af's per-block order schedule: (outer nodes per panel, inner nodes
+# per outer node), raised together
+_AF_RATE_ORDERS = tuple(zip((8, 12, 16, 24, 32, 48, 64, 96), (48, 64, 96, 128, 192, 256, 384, 512)))
 
 
 class Protocol(Enum):
@@ -194,20 +196,21 @@ def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
     def f(s):
         return np.exp(-s) * _af_relayed_cdf(g0sq - ox * s, th.c1, g.omega_y, g.omega_z)
 
-    s_hi = min(g0sq / ox, _PSI)
-    p_out = refine(
-        lambda m: integrate_gauss(f, gauss_legendre(m, 0.0, s_hi)),
-        [16 << k for k in range(7)],
-        tol,
-        "AF outage probability integral",
-    )
+    half = 0.5 * min(g0sq / ox, _PSI)
+
+    def estimate(m: int) -> float:
+        x, w = _legendre_base(m)
+        return half * float(w @ f(half * (x + 1.0)))
+
+    p_out = refine(estimate, [16 << k for k in range(7)], tol, "AF outage probability integral")
     return min(max(p_out, 0.0), 1.0)
 
 
 def _decade_edges(lo: float, hi: float) -> np.ndarray:
     """Edges of geometric panels of [lo, hi], about one per decade."""
     n_pan = max(1, math.ceil(math.log10(hi / lo)))
-    edges = np.geomspace(lo, hi, n_pan + 1)
+    edges = lo * (hi / lo) ** (np.arange(n_pan + 1) / n_pan)
+    edges[-1] = hi
     if not np.all(edges[:-1] < edges[1:]):
         raise ValueError(f"need increasing panel edges on [{lo}, {hi}]")
     return edges
@@ -222,6 +225,24 @@ def _panel_rules(edges: np.ndarray, m: int):
     left, right = edges[:-1, None], edges[1:, None]
     half = 0.5 * (right - left)
     return left + half * (x + 1.0), half * w
+
+
+def _outer_edges(g0sq: float, ox: float) -> np.ndarray:
+    """aor_af's outer panel edges: decades of a, the top one graded in g0^2 - a.
+
+    Geometric panels, one per decade, run from a = 1e-10*g0^2 up to the top
+    decade [g0^2 - span, g0^2]; the head [0, 1e-10*g0^2], where the
+    integrand grows at most like log(1/a), is dropped.  The top decade is
+    cut again, one panel per decade of d = g0^2 - a, down to
+    d = min(ox, span/10): with ox << g0^2 the outer weight is a width-ox
+    peak at a = g0^2, and the sqrt(d) of the rate's variance is least
+    smooth near d = 0 whatever ox is.  The last panel,
+    d in [0, min(ox, span/10)], is the one _outer_rules maps quadratically.
+    """
+    edges = _decade_edges(1e-10 * g0sq, g0sq)
+    span = g0sq - edges[-2]
+    d = _decade_edges(min(ox, 0.1 * span), span)
+    return np.concatenate([edges[:-1], g0sq - d[-2::-1], [g0sq]])
 
 
 def _outer_rules(edges: np.ndarray, m: int):
@@ -246,8 +267,9 @@ def _af_rate_kernel(a, t, g0sq, c1, s2x, s2y, s2z, oz):
 
     Returns sqrt(svar) * P * exp(-a(a + c1)t/oz) with P = (at + 1)(at + c1t + 1),
     for outer nodes a and inner nodes t that broadcast against each other
-    (aor_af: shapes (blocks, m, 1) and (blocks, 1, m)); aor_af holds the
-    separable factors in its weights.  Here
+    (aor_af: shapes (blocks, m, 1) and (blocks, m, n), every outer node with
+    its own inner nodes); aor_af holds the remaining factors in its weights.
+    Here
         svar P^2 = (g0^2 - a) s2x P^2 + a^2 (a + c1)^2 s2y t^3 (at + 1)
                    + a s2z (at + c1t + 1),
     a sum of nonnegative terms built in three grid-sized buffers updated in
@@ -274,28 +296,35 @@ def _af_rate_kernel(a, t, g0sq, c1, s2x, s2y, s2z, oz):
 def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     """Average outage rate (Hz) of variable-gain AF relaying.
 
-    The outer integral (over the relayed-path power level a) runs over
-    [0, g0^2] on geometric panels, one Gauss-Legendre rule per decade, the
-    top one mapped through a = g0^2 - span*u^2 (see _outer_rules).  The
-    inner semi-infinite integral spans up to
-    ~log10(psi^2 * oy * oz / (a_min * (a_min + c1))) decades of scale, so it
-    is evaluated on geometric panels too, between the rising
-    exp(-1/(t*oy)) cutoff and the decaying exp(-a*t*(a+c1)/oz) cutoff.
+    The outer integral, over the relayed-path power level a in [0, g0^2],
+    runs on the geometric panels of _outer_edges: decades of a, the top
+    decade graded in g0^2 - a down to about ox, its last sliver mapped
+    through a = g0^2 - span*u^2 (see _outer_rules).
 
-    A block is one (outer panel, inner panel) pair.  An outer panel with
-    left edge a_L keeps the inner panels starting below
-    psi*oz/(a_L*(a_L + c1)), past which exp(-a*(a+c1)*t/oz) < exp(-psi) for
-    every a in the panel.  numerics.refine_blocks raises the order of each
-    block separately (8, 12, 16, 24, 32, 48, 64, 96 per panel), only while
-    its error estimate (the change from its previous order) still counts
-    against tol times the total.
+    The inner semi-infinite integral, over t, is one Gauss-Legendre rule in
+    v = ln t per outer node.  Its exponents -1/(t*oy) - a*(a + c1)*t/oz are
+    -A/t - B*t with A = 1/oy, B = a*(a + c1)/oz, i.e.
+    -2*sqrt(AB)*cosh(v - v*) with the peak at v* = ln(A/B)/2.  The rule
+    spans the window where they stay within psi of their maximum,
+        |v - v*| <= arccosh(1 + psi/(2*sqrt(AB))).
+    With the two e^-psi cuts far apart (s = sqrt(AB) << psi) it is about
+    t in [A/(psi + 2s), (psi + 2s)/B], the cuts t >= 1/(psi*oy) and
+    t <= psi*oz/(a*(a + c1)) themselves.  Where they merge (deep outage) it
+    narrows around the merged peak t* = sqrt(A/B) instead of cutting it off.
+
+    A block is one outer panel with the inner rules of its nodes.
+    numerics.refine_blocks raises the orders of each block separately, the
+    outer and inner order together (8 outer nodes per panel with 48 inner
+    nodes each, up to 96 with 512; _AF_RATE_ORDERS), only while its error
+    estimate (the change from its previous orders) still counts against
+    tol times the total.
 
     The separable factors of the integrand are folded into the weights:
-    exp(-1/(t*oy))/t^2 into the inner ones and
+    exp(-1/(t*oy))/t^2 (times dt/dv = t) into the inner ones and
     exp(-(g0^2 - a)/ox - a*(1/oy + 1/oz)) into the outer ones, which absorbs
     the exp(-g0^2/ox) prefactor.  Every exponent is then <= 0, so deep
     outage underflows towards 0 instead of overflowing.  Only
-    _af_rate_kernel is evaluated, for all blocks of one order at once.
+    _af_rate_kernel is evaluated, for all blocks of one order pair at once.
     """
     _require_mobility(scenario)
     g = scenario.gains
@@ -306,39 +335,33 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     ox, oy, oz = g.omega_x, g.omega_y, g.omega_z
     c1 = th.c1
     args = (g0sq, c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oz)
+    a_edges = _outer_edges(g0sq, ox)
 
-    # The integrand carries a*log(a) style behaviour at a -> 0, so the outer
-    # variable is paneled geometrically as well; the head [0, a_head] is
-    # dropped (the integrand is bounded there, relative weight ~ 1e-10).
-    a_head = 1e-10 * g0sq
-    t_lo = 1.0 / (_PSI * oy)
-    t_hi = _PSI * oz / (a_head * (a_head + c1))
-    if t_lo >= t_hi:
-        # no t lies inside both e^-psi cuts, so no inner panel is left
-        return 0.0
-
-    a_edges = _decade_edges(a_head, g0sq)
-    t_edges = _decade_edges(t_lo, t_hi)
-    a_left = a_edges[:-1]
-    n_keep = np.searchsorted(t_edges[:-1], _PSI * oz / (a_left * (a_left + c1)))
-    blk_a = np.repeat(np.arange(a_left.size), n_keep)
-    blk_t = np.concatenate([np.arange(n) for n in n_keep])
-
-    @lru_cache(maxsize=None)
-    def grid(m: int):
+    def blocks(order: tuple[int, int], idx: np.ndarray) -> np.ndarray:
+        m, n = order
         a, wa = _outer_rules(a_edges, m)
-        t, wt = _panel_rules(t_edges, m)
+        a, wa = a[idx], wa[idx]
         wa *= np.exp(-(g0sq - a) / ox - a * (1.0 / oy + 1.0 / oz))
-        wt *= np.exp(-1.0 / (t * oy)) / (t * t)
-        return a, wa, t, wt
+        # inner window of each outer node: v = v* + half*x, t = t* e^(half*x),
+        # with sqrt(AB) = k and t* = 1/(oy k), so A/t = k e^(-half*x)
+        k = np.sqrt(a * (a + c1) / (oy * oz))
+        half = np.arccosh(1.0 + 0.5 * _PSI / k)
+        x, w = _legendre_base(n)
+        e = np.multiply.outer(half, x)
+        np.exp(e, out=e)
+        t = e * (1.0 / (oy * k))[..., None]
+        # inner weight half * w * exp(-A/t)/t = (half oy k) * w * exp(-k/e)/e;
+        # the factor of each outer node goes into its outer weight
+        wa *= half * oy * k
+        np.reciprocal(e, out=e)
+        wt = np.multiply(e, -k[..., None])
+        np.exp(wt, out=wt)
+        wt *= e
+        kern = _af_rate_kernel(a[..., None], t, *args)
+        kern *= wt
+        return np.einsum("bi,bi->b", wa, kern @ w)
 
-    def blocks(m: int, idx: np.ndarray) -> np.ndarray:
-        a, wa, t, wt = grid(m)
-        ia, it = blk_a[idx], blk_t[idx]
-        kern = _af_rate_kernel(a[ia, :, None], t[it, None, :], *args)
-        return np.einsum("bi,bij,bj->b", wa[ia], kern, wt[it])
-
-    total = refine_blocks(blocks, blk_a.size, _AF_RATE_ORDERS, tol, "AF outage rate integral")
+    total = refine_blocks(blocks, a_edges.size - 1, _AF_RATE_ORDERS, tol, "AF outage rate integral")
     return math.sqrt(2.0 / math.pi) / (ox * oy * oz) * total
 
 

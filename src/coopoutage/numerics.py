@@ -21,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 from scipy import special as _sp
@@ -250,23 +250,24 @@ def refine(estimate: Callable[[int], float], orders: Iterable[int], tol: float, 
 
 
 def refine_blocks(
-    values: Callable[[int, np.ndarray], np.ndarray],
+    values: Callable[[Any, np.ndarray], np.ndarray],
     n_blocks: int,
-    orders: Iterable[int],
+    orders: Iterable,
     tol: float,
     what: str,
 ) -> float:
     """Sum of n_blocks block integrals, each raised along orders only while its error counts.
 
-    values(m, idx) returns the order-m values of the blocks idx (an index
-    array).  Every block starts at the first two orders; its error estimate
-    is the difference of its last two values.  While the summed error
-    exceeds tol * |total|, the blocks with the largest errors move to their
-    next order, just enough of them that the errors left behind fit half of
-    that budget; each round calls values once per target order.  Returns
-    the total of the latest block values.  If a block that must move is
-    already at the last order, raises ConvergenceError carrying the last
-    two totals.
+    values(order, idx) returns the values of the blocks idx (an index
+    array) at one entry of orders: an int, or a tuple such as aor_af's
+    (outer, inner) order pairs.  Every block starts at the first two
+    orders; its error estimate is the difference of its last two values.
+    While the summed error exceeds tol * |total|, the blocks with the
+    largest errors move to their next order, just enough of them that the
+    errors left behind fit half of that budget; each round calls values
+    once per target order.  Returns the total of the latest block values.
+    If a block that must move is already at the last order, raises
+    ConvergenceError carrying the last two totals.
     """
     orders = tuple(orders)
     if len(orders) < 2:

@@ -2,7 +2,10 @@
 
 import pytest
 
+from coopoutage import exact_metrics
 from coopoutage.cli import db_to_linear, load_config, main
+from coopoutage.exact_metrics import Protocol
+from coopoutage.numerics import ConvergenceError
 
 
 def run_cli(argv, capsys):
@@ -308,11 +311,26 @@ def test_snr_overflow_names_the_snr():
         db_to_linear(4000.0)
 
 
-def test_convergence_failure_is_usage_error(capsys):
-    # the AF outage-rate quadrature does not resolve the narrow inner peak
-    # of the weak S-D link at -8 dB
+WEAK_SD_MINUS_8DB = ["metrics", "--snr-db", "-8", "--rate", "2", "--omega", "0.1,1,1", "--protocols", "af"]
+
+
+def test_convergence_failure_is_usage_error(monkeypatch, capsys):
+    # an AF outage-rate quadrature that runs out of orders
+    def no_convergence(scenario, tol=1e-7):
+        raise ConvergenceError("AF outage rate integral did not converge by order (96, 512): 1.0, 2.0", (1.0, 2.0))
+
+    monkeypatch.setitem(exact_metrics._EXACT, Protocol.AF, (exact_metrics.op_af, no_convergence))
     with pytest.raises(SystemExit) as info:
-        main(["metrics", "--snr-db", "-8", "--rate", "2", "--omega", "0.1,1,1", "--protocols", "af"])
+        main(WEAK_SD_MINUS_8DB)
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "AF outage rate integral did not converge" in err
+
+
+def test_deep_outage_af_rate_converges(capsys):
+    # weak S-D link at -8 dB: the merged inner peak lies below 1/(psi*oy);
+    # an uncut trapezoid grid (af_rate_brute in test_exact_metrics) gives
+    # 1.5829989177e-164 Hz
+    code, out, _ = run_cli(WEAK_SD_MINUS_8DB, capsys)
+    assert code == 0
+    assert "1.58299892e-164" in out

@@ -83,10 +83,12 @@ def sweep_scenario(shape, snr_db):
 
 
 def af_rate_grid(scenario, m):
-    """aor_af's outer and inner decade-panel rules of order m, flattened.
+    """Decade-panel Gauss-Legendre rules of order m in a and in t, flattened.
 
-    Plain Gauss-Legendre on every panel: aor_af maps its top outer panel
-    quadratically, this grid does not.
+    The outer panels run over [1e-10 g0^2, g0^2], the inner ones between
+    the e^-psi cuts t >= 1/(psi*oy) and t <= psi*oz/(a(a + c1)) at
+    a = 1e-10 g0^2, one tensor grid for every outer node.  Plain
+    Gauss-Legendre on every panel, with no top-panel map.
     """
     _, th = derive(scenario)
     g = scenario.gains
@@ -102,8 +104,9 @@ def af_rate_node_sum(scenario, m):
     """Reference AF outage rate: the unfolded integrand, one outer node at a time.
 
     Every exponential sits in one exponent (the exp(-g0^2/ox) prefactor too),
-    the variance is built by divisions, and the full tensor grid is summed
-    with no inner cut.
+    the variance is built by divisions, and the full tensor grid is summed.
+    It keeps af_rate_grid's cut t >= 1/(psi*oy), so it misses the merged
+    inner peak at deep outage; af_rate_brute has no cut.
     """
     g = scenario.gains
     ld, th = derive(scenario)
@@ -123,6 +126,57 @@ def af_rate_node_sum(scenario, m):
         f = np.sqrt(svar) * at1 * act1 / t**2 * np.exp(expo)
         total += wai * float(f @ wt)
     return math.sqrt(2.0 / math.pi) / (ox * oy * oz) * total
+
+
+def af_rate_brute(scenario, n=1000):
+    """Independent AF outage rate with no e^-psi cut and no a cut.
+
+    A trapezoid sum over the whole (z, v) plane, with a = g0^2/(1 + e^-z)
+    (so g0^2 - a = g0^2/(1 + e^z) is exact near the top) and t = e^v.  Both
+    maps send the integration range onto the real line, where the integrand
+    times its Jacobians a(g0^2 - a)/g0^2 and t decays at least exponentially,
+    so the trapezoid rule converges geometrically (Trefethen & Weideman,
+    SIAM Rev. 56, 2014).  A 0.1-step scan over z in [-40, 40] and
+    v in [-130, 130] finds the box where the log-integrand is within 100 of
+    its maximum; an n x n grid on that box, widened by 3 scan steps, gives
+    the sum.  Every factor stays in one log-domain exponent, summed as
+    exp(L - max L), so rates far below the range of the separate
+    exponentials come out right.
+    """
+    g = scenario.gains
+    ld, th = derive(scenario)
+    g0sq, c1 = th.g0**2, th.c1
+    ox, oy, oz = g.omega_x, g.omega_y, g.omega_z
+
+    def log_f(z, v):
+        a = g0sq / (1.0 + np.exp(-z))
+        d = g0sq / (1.0 + np.exp(z))
+        t = np.exp(v)
+        at1 = a * t + 1.0
+        act1 = at1 + c1 * t
+        svar = (
+            d * ld.sigma2_x
+            + a**2 * t**3 * (a + c1) ** 2 / (at1 * act1**2) * ld.sigma2_y
+            + a / (at1**2 * act1) * ld.sigma2_z
+        )
+        expo = -d / ox - a * (1.0 / oy + 1.0 / oz) - a * (a + c1) * t / oz - 1.0 / (t * oy)
+        return 0.5 * np.log(svar) + np.log(at1 * act1) - v + np.log(a * d / g0sq) + expo
+
+    def grid(zs, vs):
+        return np.vstack([log_f(z, vs) for z in zs])
+
+    z_scan = np.linspace(-40.0, 40.0, 801)
+    v_scan = np.linspace(-130.0, 130.0, 2601)
+    keep = grid(z_scan, v_scan)
+    keep = keep >= keep.max() - 100.0
+    iz = np.flatnonzero(keep.any(axis=1))
+    iv = np.flatnonzero(keep.any(axis=0))
+    zs = np.linspace(z_scan[max(iz[0] - 3, 0)], z_scan[min(iz[-1] + 3, 800)], n)
+    vs = np.linspace(v_scan[max(iv[0] - 3, 0)], v_scan[min(iv[-1] + 3, 2600)], n)
+    lf = grid(zs, vs)
+    top = lf.max()
+    log_sum = top + math.log(np.exp(lf - top).sum() * (zs[1] - zs[0]) * (vs[1] - vs[0]))
+    return math.sqrt(2.0 / math.pi) / (ox * oy * oz) * math.exp(log_sum)
 
 
 class TestDirect:
@@ -225,8 +279,7 @@ class TestAfOutageRate:
             aor_af(make_scenario(dopplers=(0.0, 0.0, 0.0)))
 
     def test_empty_inner_range_gives_zero_rate(self):
-        # -30 dB, r0 = 8: the inner panel range [t_lo, t_hi] comes out
-        # reversed, as the e^-46 cuts leave no inner panel; the outer factor
+        # -30 dB, r0 = 8: every outer weight underflows, as the outer factor
         # alone is at most exp(-g0^2/ox) ~ 10^-28461488
         assert aor_af(make_scenario(gamma0=1e-3, r0=8.0, omegas=(1.0, 0.01, 0.01))) == 0.0
 
@@ -265,8 +318,9 @@ class TestAfOutageRate:
 
     def test_deep_outage_is_finite(self):
         # weak S-D link at -10 dB, 1/ox > 1/oy + 1/oz: the unfolded exponent
-        # overflows; a log-domain sum puts the rate near 1e-347.6, below the
-        # smallest double
+        # overflows, and the merged inner peak t* lies below 1/(psi*oy);
+        # af_rate_brute gives 6.2078580574591e-250 (n = 1000 and 1500 agree
+        # to 1.1e-13)
         sc = Scenario(
             0.1,
             1.954389050389492,
@@ -276,7 +330,55 @@ class TestAfOutageRate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = aor_af(sc)
-        assert math.isfinite(got) and 0.0 <= got < 1e-300
+        assert got == pytest.approx(6.2078580574591e-250, rel=1e-7, abs=0.0)
+
+    # (gamma0, r0, omegas, dopplers) where t* = sqrt(oz/(oy a(a + c1))) falls
+    # below 1/(psi*oy) on the top outer panels: the weak S-D sweep
+    # configuration at -6, -4 and -2 dB (snr_sweep edge rows 99-101 of seeds
+    # 1 and 2 in benchmark/workloads.py), and two declared-domain points
+    DEEP_OUTAGE = {
+        **{
+            f"weak_sd_seed1_{db}dB": (
+                10.0 ** (db / 10.0),
+                1.954389050389492,
+                (0.0983984790272646, 0.983984790272646, 0.983984790272646),
+                (0.059483714553222905, 0.1158931354535626, 0.22572700553896405),
+            )
+            for db in (-6, -4, -2)
+        },
+        **{
+            f"weak_sd_seed2_{db}dB": (
+                10.0 ** (db / 10.0),
+                2.0606200318768924,
+                (0.09754841028845238, 0.9754841028845237, 0.9754841028845237),
+                (0.2554380360240806, 0.49569068232341856, 0.9704789361114676),
+            )
+            for db in (-6, -4, -2)
+        },
+        "domain_10dB_r0_8": (10.0, 8.0, (1.0, 100.0, 100.0), (0.3, 1.0, 0.7)),
+        "domain_-30dB_r0_1": (1e-3, 1.0, (0.01, 100.0, 100.0), (0.3, 1.0, 0.7)),
+    }
+
+    @pytest.mark.parametrize("name", list(DEEP_OUTAGE))
+    def test_deep_outage_against_uncut_reference(self, name):
+        sc = make_scenario(*self.DEEP_OUTAGE[name])
+        assert aor_af(sc) == pytest.approx(af_rate_brute(sc), rel=1e-7, abs=0.0)
+
+    def test_uncut_reference_pins(self):
+        # the reference reproduces itself at a finer grid, and a value pinned
+        # where aor_af used to raise ConvergenceError
+        sc = make_scenario(*self.DEEP_OUTAGE["domain_-30dB_r0_1"])
+        ref = af_rate_brute(sc)
+        assert ref == pytest.approx(af_rate_brute(sc, n=1500), rel=1e-11, abs=0.0)
+        assert ref == pytest.approx(2.42723265e-54, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("shape", list(SWEEP_SHAPES))
+    def test_uncut_reference_matches_node_sum(self, shape):
+        # at 40 dB the e^-psi cuts are far apart and cost nothing; the two
+        # references differ only by af_rate_node_sum's dropped head
+        # [0, 1e-10 g0^2] of the outer range
+        sc = sweep_scenario(shape, 40.0)
+        assert af_rate_brute(sc) == pytest.approx(af_rate_node_sum(sc, 96), rel=1e-9, abs=0.0)
 
     def test_self_convergence_below_1e8(self):
         for gamma_db in (0.0, 10.0, 20.0, 40.0):
