@@ -54,11 +54,6 @@ class NodeDopplers:
     def all_static(self) -> bool:
         return self.f_s == 0.0 and self.f_r == 0.0 and self.f_d == 0.0
 
-    @property
-    def f_max(self) -> float:
-        """Largest node Doppler, used for display normalisations."""
-        return max(self.f_s, self.f_r, self.f_d)
-
 
 @dataclass(frozen=True)
 class LinkGains:

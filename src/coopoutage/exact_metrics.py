@@ -28,10 +28,11 @@ the separable factors of its integrand into the quadrature weights
 (exp(-1/(t oy))/t inner; exp(-(g0^2 - a)/ox - a(1/oy + 1/oz)) outer, which
 absorbs the exp(-g0^2/ox) prefactor), so every exponent is <= 0 and deep
 outage underflows to 0 instead of overflowing.  Its outer panels are
-decades of a, with the top decade graded in g0^2 - a down to about ox and
-its last sliver mapped through a = g0^2 - span*u^2, which smooths the
-sqrt(g0^2 - a) endpoint.  The inner window of outer node a is
-|ln t - ln t*| <= arccosh(1 + psi/(2 sqrt(AB))), with A = 1/oy,
+decades of a from 1e-10*min(g0^2, oy*oz/c1) (at deep outage the mass sits
+at a <~ oy*oz/c1, far below g0^2), with the top decade graded in g0^2 - a
+down to about ox and its last sliver mapped through a = g0^2 - span*u^2,
+which smooths the sqrt(g0^2 - a) endpoint.  The inner window of outer
+node a is |ln t - ln t*| <= arccosh(1 + psi/(2 sqrt(AB))), with A = 1/oy,
 B = a(a + c1)/oz and t* = sqrt(A/B): the two e^-psi cuts where they are far
 apart, a band around the merged peak t* at deep outage.  _af_rate_kernel
 evaluates the integrand for all blocks of one order pair at once.
@@ -227,19 +228,22 @@ def _panel_rules(edges: np.ndarray, m: int):
     return left + half * (x + 1.0), half * w
 
 
-def _outer_edges(g0sq: float, ox: float) -> np.ndarray:
+def _outer_edges(g0sq: float, ox: float, a_knee: float) -> np.ndarray:
     """aor_af's outer panel edges: decades of a, the top one graded in g0^2 - a.
 
-    Geometric panels, one per decade, run from a = 1e-10*g0^2 up to the top
-    decade [g0^2 - span, g0^2]; the head [0, 1e-10*g0^2], where the
-    integrand grows at most like log(1/a), is dropped.  The top decade is
-    cut again, one panel per decade of d = g0^2 - a, down to
-    d = min(ox, span/10): with ox << g0^2 the outer weight is a width-ox
-    peak at a = g0^2, and the sqrt(d) of the rate's variance is least
-    smooth near d = 0 whatever ox is.  The last panel,
+    Geometric panels, one per decade, run from a = 1e-10*min(g0^2, a_knee)
+    up to the top decade [g0^2 - span, g0^2]; the head below, where the
+    integrand grows at most like log(1/a), is dropped.  aor_af passes
+    a_knee = oy*oz/c1: with c1 >> a the inner peak is about
+    exp(-2*sqrt(a*c1/(oy*oz))), so at deep outage (a_knee << g0^2) the
+    mass sits at a <~ a_knee, which a head cut at 1e-10*g0^2 would
+    truncate.  The top decade is cut again, one panel per decade of
+    d = g0^2 - a, down to d = min(ox, span/10): with ox << g0^2 the outer
+    weight is a width-ox peak at a = g0^2, and the sqrt(d) of the rate's
+    variance is least smooth near d = 0 whatever ox is.  The last panel,
     d in [0, min(ox, span/10)], is the one _outer_rules maps quadratically.
     """
-    edges = _decade_edges(1e-10 * g0sq, g0sq)
+    edges = _decade_edges(1e-10 * min(g0sq, a_knee), g0sq)
     span = g0sq - edges[-2]
     d = _decade_edges(min(ox, 0.1 * span), span)
     return np.concatenate([edges[:-1], g0sq - d[-2::-1], [g0sq]])
@@ -297,9 +301,10 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     """Average outage rate (Hz) of variable-gain AF relaying.
 
     The outer integral, over the relayed-path power level a in [0, g0^2],
-    runs on the geometric panels of _outer_edges: decades of a, the top
-    decade graded in g0^2 - a down to about ox, its last sliver mapped
-    through a = g0^2 - span*u^2 (see _outer_rules).
+    runs on the geometric panels of _outer_edges: decades of a from
+    1e-10*min(g0^2, oy*oz/c1), the top decade graded in g0^2 - a down to
+    about ox, its last sliver mapped through a = g0^2 - span*u^2 (see
+    _outer_rules).
 
     The inner semi-infinite integral, over t, is one Gauss-Legendre rule in
     v = ln t per outer node.  Its exponents -1/(t*oy) - a*(a + c1)*t/oz are
@@ -335,7 +340,7 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     ox, oy, oz = g.omega_x, g.omega_y, g.omega_z
     c1 = th.c1
     args = (g0sq, c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oz)
-    a_edges = _outer_edges(g0sq, ox)
+    a_edges = _outer_edges(g0sq, ox, oy * oz / c1)
 
     def blocks(order: tuple[int, int], idx: np.ndarray) -> np.ndarray:
         m, n = order

@@ -357,6 +357,14 @@ class TestAfOutageRate:
         },
         "domain_10dB_r0_8": (10.0, 8.0, (1.0, 100.0, 100.0), (0.3, 1.0, 0.7)),
         "domain_-30dB_r0_1": (1e-3, 1.0, (0.01, 100.0, 100.0), (0.3, 1.0, 0.7)),
+        # oy*oz/c1 ~ 0.0089 is far below g0^2 ~ 8.05: the mass reaches below a
+        # head cut at 1e-10 g0^2
+        "random_deep_head": (
+            0.021096867893535817,
+            0.11316241355702293,
+            (0.041390879984909035, 7.404851257315078, 0.05682896959991768),
+            (3.4062993765566385, 0.12828070212745596, 3.711430758905131),
+        ),
     }
 
     @pytest.mark.parametrize("name", list(DEEP_OUTAGE))

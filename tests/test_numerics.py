@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_laguerre
 
 from coopoutage.channel import Scenario
 from coopoutage.exact_metrics import op_af
@@ -127,8 +128,9 @@ class TestGaussLaguerre:
 
     @pytest.mark.parametrize("order", [2, 16, 64, 128])
     def test_nodes_match_eigenvalue_oracle(self, order):
+        # scipy's rule is an independent Golub-Welsch build with Newton polishing
         rule = gauss_laguerre(order)
-        x_ref, w_ref = np.polynomial.laguerre.laggauss(order)
+        x_ref, w_ref = roots_laguerre(order)
         assert np.max(np.abs(rule.nodes - x_ref) / x_ref) < 1e-12
         big = w_ref > 1e-280
         assert np.max(np.abs(rule.weights[big] - w_ref[big]) / w_ref[big]) < 1e-10
