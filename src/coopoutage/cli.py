@@ -21,7 +21,7 @@ import numpy as np
 from .asym_metrics import Table1System, asym, fit_loglog_slope, table1_symmetric
 from .channel import LinkGains, MobilityError, NodeDopplers, Scenario
 from .exact_metrics import Protocol, metrics
-from .mc_sim import TraceConfig, validate
+from .mc_sim import StaticLinkError, TraceConfig, validate
 from .numerics import ConvergenceError
 
 
@@ -386,7 +386,7 @@ def main(argv=None) -> int:
     opt = _Options(args, parser)
     try:
         return _COMMANDS[args.command](opt)
-    except (MobilityError, ConvergenceError, OverflowError) as exc:
+    except (MobilityError, ConvergenceError, OverflowError, StaticLinkError) as exc:
         parser.error(str(exc))
 
 

@@ -281,6 +281,7 @@ class TestNormalisationGuards:
         ["metrics", "--snr-db", "4000"],
         ["table1", "--snr-db", "4000"],
         ["slope", "--snr-db-range", "4000:4010:2"],
+        ["validate", "--snr-db", "10", "--samples", "65536", "--doppler", "0,0,1", "--protocols", "af"],
     ],
 )
 def test_bad_input_is_usage_error(argv, capsys):

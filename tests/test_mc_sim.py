@@ -195,6 +195,14 @@ class TestEquivalentGain:
         assert equivalent_gain(Protocol.DF, 3.0, 0.5, 4.0, th) == 0.5
         assert equivalent_gain(Protocol.DF, 0.3, 9.0, 0.4, th) == pytest.approx(0.5)
 
+    def test_af_in_place_matches_one_line_expression(self):
+        sc = make_scenario(gamma0=10.0)
+        _, th = derive(sc)
+        x, y, z = (tr.samples for tr in gen_link_traces(sc, TraceConfig(n_samples=65_536, seed=3)))
+        y2, z2 = y * y, z * z
+        expected = np.sqrt(x * x + y2 * z2 / (y2 + z2 + th.c1))
+        assert np.array_equal(equivalent_gain(Protocol.AF, x, y, z, th), expected)
+
     def test_direct_passthrough_and_vectorisation(self):
         _, th = derive(make_scenario())
         x = np.array([0.1, 0.5])
@@ -279,6 +287,34 @@ class TestValidate:
     def test_df_at_10db_passes_default_tolerances(self):
         rep = validate(make_scenario(gamma0=10.0), Protocol.DF, TraceConfig(n_samples=2_000_000, seed=4))
         assert rep.passed, "\n".join(rep.lines())
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_rebuilt_from_public_parts_is_identical(self, protocol):
+        sc = Scenario(gamma0=10.0, r0=0.5, gains=LinkGains(1.0, 2.0, 0.5), dopplers=NodeDopplers(1.0, 0.3, 0.7))
+        cfg = TraceConfig(n_samples=65_536, seed=5, n_realizations=2)
+        _, th = derive(sc)
+        counts = CrossingCounts()
+        for r in range(cfg.n_realizations):
+            x, y, z = gen_link_traces(sc, cfg, realization=r)
+            g = FadingTrace(x.dt, equivalent_gain(protocol, x.samples, y.samples, z.samples, th))
+            counts = counts.merge(CrossingCounts.from_trace(g, protocol.level(th)))
+        assert validate(sc, protocol, cfg).empirical == EmpiricalMetrics.from_counts(counts)
+
+    def test_direct_needs_no_moving_relay(self):
+        sc = Scenario(gamma0=10.0, r0=0.5, gains=LinkGains(1.0, 1.0, 1.0), dopplers=NodeDopplers(0.0, 0.0, 1.0))
+        cfg = TraceConfig(n_samples=65_536, n_realizations=2)
+        rep = validate(sc, Protocol.DIRECT, cfg)
+        assert rep.passed, "\n".join(rep.lines())
+        dt = mc_sim.scenario_dt(sc, cfg)
+        _, th = derive(sc)
+        counts = CrossingCounts()
+        for r in range(cfg.n_realizations):
+            x = gen_m2m_rayleigh(1.0, 0.0, 1.0, cfg, dt=dt, realization=r, link=0)
+            counts = counts.merge(CrossingCounts.from_trace(x, th.x0))
+        assert rep.empirical == EmpiricalMetrics.from_counts(counts)
+        for protocol in (Protocol.AF, Protocol.DF, Protocol.SR):
+            with pytest.raises(StaticLinkError):
+                validate(sc, protocol, cfg)
 
     def test_report_lines_and_failure_detection(self):
         rep = validate(
