@@ -3,8 +3,19 @@
 Subcommands: metrics (single-point table), sweep (CSV over an SNR range),
 validate (Monte Carlo against the analytical values), slope (fitted
 log-log decay exponents), and table1 (symmetric-network high-SNR closed
-forms).  Options may come from a `key = value` config file; command-line
-flags override the file.
+forms).
+
+Every option is declared once, in `_OPTIONS`: its parser, default, help
+text and the commands that take it.  A value comes from the command-line
+flag, else from the `key = value` config file given by --config, else
+from the default, and whichever it is goes through the same parser.
+Config keys are the flag names with `_` in place of `-` (`mc = true` or
+`mc = false` for the --mc switch); a config file may carry keys that only
+other commands take, which are checked but not used.  The SNR pair resolves as one unit: if --snr-db or
+--snr-db-range is on the command line, the config's SNR keys are ignored,
+and giving both flags, or both keys in one file, is refused.  --out is
+taken by sweep only, --mc by metrics only and --tol-* by validate only.
+Every usage or config error exits with status 2.
 
 SNR flags are in dB of transmit SNR; everything internal runs on linear
 scale.  Rates and durations can be reported in absolute Hz/seconds, per
@@ -15,13 +26,15 @@ block given the block-to-Doppler product f_m * T.
 import argparse
 import math
 import sys
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .asym_metrics import Table1System, asym, fit_loglog_slope, table1_symmetric
-from .channel import LinkGains, MobilityError, NodeDopplers, Scenario
+from .channel import LinkGains, NodeDopplers, Scenario
 from .exact_metrics import Protocol, metrics
-from .mc_sim import StaticLinkError, TraceConfig, validate
+from .mc_sim import TraceConfig, validate
 from .numerics import ConvergenceError
 
 
@@ -65,10 +78,10 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_triple(text: str, name: str) -> tuple[float, float, float]:
+def _parse_triple(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError(f"{name} needs three comma-separated values, got {text!r}")
+        raise ValueError(f"needs three comma-separated values, got {text!r}")
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
 
 
@@ -84,191 +97,167 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _parse_protocols(text: str) -> list[Protocol]:
-    out = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        try:
-            out.append(Protocol(token))
-        except ValueError:
-            raise ValueError(f"unknown protocol {token!r}") from None
-    if not out:
-        raise ValueError("protocol list is empty")
-    return out
+    chosen = {Protocol(token.strip().lower()) for token in text.split(",")}
+    return [p for p in Protocol if p in chosen]
 
 
-_OPTION_SPEC: dict[str, tuple] = {
-    # name: (parser, default)
-    "snr_db": (float, None),
-    "snr_db_range": (str, None),
-    "rate": (float, 0.5),
-    "omega": (str, "1,1,1"),
-    "doppler": (str, "1,1,1"),
-    "y0": (float, None),
-    "protocols": (str, "direct,af,df,sr"),
-    "normalize": (str, "hz"),
-    "fm_t": (float, None),
-    "seed": (int, 2024),
-    "samples": (int, 2_000_000),
-    "oversampling": (int, 64),
-    "sinusoids": (int, 32),
-    "realizations": (int, 1),
-    "out": (str, "-"),
-    "tol_op": (float, 0.05),
-    "tol_aor": (float, 0.10),
-    "tol_aod": (float, 0.10),
-    "mc": (bool, False),
+def _parse_normalize(text: str) -> str:
+    if text not in ("hz", "fm", "block"):
+        raise ValueError(f"expected hz, fm or block, got {text!r}")
+    return text
+
+
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return word in ("true", "yes", "1")
+
+
+_ALL = ("metrics", "sweep", "validate", "slope", "table1")
+
+
+class _Option(NamedTuple):
+    parse: Callable[[str], Any]
+    default: str | None
+    help: str
+    commands: tuple[str, ...] = _ALL
+
+
+_OPTIONS = {
+    "snr_db": _Option(float, None, "transmit SNR (dB), single point"),
+    "snr_db_range": _Option(_parse_range, None, "transmit SNR sweep A:B:STEP (dB)"),
+    "rate": _Option(float, "0.5", "target spectral efficiency r0 (b/s/Hz)"),
+    "omega": _Option(_parse_triple, "1,1,1", "mean squared gains X,Y,Z (S->D, S->R, R->D)"),
+    "doppler": _Option(_parse_triple, "1,1,1", "node Dopplers S,R,D in Hz"),
+    "y0": _Option(float, None, "explicit relay-activation threshold (default g0)"),
+    "protocols": _Option(_parse_protocols, "direct,af,df,sr", "comma list from direct,af,df,sr"),
+    "normalize": _Option(_parse_normalize, "hz", "rate/duration units: hz, fm or block"),
+    "fm_t": _Option(float, None, "f_m * T for block normalisation"),
+    "seed": _Option(int, "2024", "simulation seed"),
+    "samples": _Option(int, "2000000", "Monte Carlo samples per realization"),
+    "oversampling": _Option(int, "64", "samples per 1/f_max"),
+    "sinusoids": _Option(int, "32", "rays per quadrature component"),
+    "realizations": _Option(int, "1", "independent Monte Carlo realizations"),
+    "out": _Option(str, "-", "output path for CSV ('-' for stdout)", ("sweep",)),
+    "tol_op": _Option(float, "0.05", "relative OP tolerance", ("validate",)),
+    "tol_aor": _Option(float, "0.10", "relative AOR tolerance", ("validate",)),
+    "tol_aod": _Option(float, "0.10", "relative AOD tolerance", ("validate",)),
+    "mc": _Option(_parse_bool, "false", "append Monte Carlo columns", ("metrics",)),
 }
+_SNR_KEYS = ("snr_db", "snr_db_range")
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="key = value options file; flags override it")
-    parser.add_argument("--snr-db", type=float, help="transmit SNR (dB), single point")
-    parser.add_argument("--snr-db-range", help="transmit SNR sweep A:B:STEP (dB)")
-    parser.add_argument("--rate", type=float, help="target spectral efficiency r0 (b/s/Hz)")
-    parser.add_argument("--omega", help="mean squared gains X,Y,Z (S->D, S->R, R->D)")
-    parser.add_argument("--doppler", help="node Dopplers S,R,D in Hz")
-    parser.add_argument("--y0", type=float, help="explicit relay-activation threshold (default g0)")
-    parser.add_argument("--protocols", help="comma list from direct,af,df,sr")
-    parser.add_argument("--normalize", choices=["hz", "fm", "block"], help="rate/duration units")
-    parser.add_argument("--fm-t", type=float, dest="fm_t", help="f_m * T for block normalisation")
-    parser.add_argument("--seed", type=int, help="simulation seed")
-    parser.add_argument("--samples", type=int, help="Monte Carlo samples per realization")
-    parser.add_argument("--oversampling", type=int, help="samples per 1/f_max")
-    parser.add_argument("--sinusoids", type=int, help="rays per quadrature component")
-    parser.add_argument("--realizations", type=int, help="independent Monte Carlo realizations")
-    parser.add_argument("--out", help="output path for CSV ('-' for stdout)")
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command; its flags come from `_OPTIONS` and collect raw strings."""
     parser = argparse.ArgumentParser(
         prog="coopoutage",
         description="Outage probability, rate, and duration of cooperative links with mobile nodes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_metrics = sub.add_parser("metrics", help="exact, asymptotic, and optional MC metrics at one SNR")
-    _add_common(p_metrics)
-    p_metrics.add_argument("--mc", action="store_true", default=None, help="append Monte Carlo columns")
-
-    p_sweep = sub.add_parser("sweep", help="CSV of exact and asymptotic metrics over an SNR range")
-    _add_common(p_sweep)
-
-    p_validate = sub.add_parser("validate", help="Monte Carlo validation against the exact metrics")
-    _add_common(p_validate)
-    p_validate.add_argument("--tol-op", type=float, dest="tol_op", help="relative OP tolerance")
-    p_validate.add_argument("--tol-aor", type=float, dest="tol_aor", help="relative AOR tolerance")
-    p_validate.add_argument("--tol-aod", type=float, dest="tol_aod", help="relative AOD tolerance")
-
-    p_slope = sub.add_parser("slope", help="fit log-log decay exponents over an SNR window")
-    _add_common(p_slope)
-
-    p_table1 = sub.add_parser("table1", help="symmetric-network high-SNR closed forms")
-    _add_common(p_table1)
-
+    for command, run in _COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
+        p.add_argument("--config", help="key = value options file; flags override it")
+        for key, option in _OPTIONS.items():
+            if command in option.commands:
+                switch = {"action": "store_const", "const": "true"} if option.parse is _parse_bool else {}
+                p.add_argument(_flag(key), dest=key, help=option.help, **switch)
     return parser
 
 
-class _Options:
-    """Merged view: command line > config file > defaults."""
+def _resolve(args: argparse.Namespace) -> SimpleNamespace:
+    """Every option: flag, else config value, else default, then parsed.
 
-    def __init__(self, args: argparse.Namespace, parser: argparse.ArgumentParser):
-        self._parser = parser
-        config: dict[str, str] = {}
-        if getattr(args, "config", None):
-            try:
-                config = load_config(args.config)
-            except (OSError, ValueError) as exc:
-                parser.error(str(exc))
-        unknown = set(config) - set(_OPTION_SPEC)
-        if unknown:
-            parser.error(f"unknown config keys: {', '.join(sorted(unknown))}")
-        for name, (convert, default) in _OPTION_SPEC.items():
-            value = getattr(args, name, None)
-            if value is None and name in config:
-                try:
-                    raw = config[name]
-                    value = raw.lower() in ("1", "true", "yes") if convert is bool else convert(raw)
-                except ValueError as exc:
-                    parser.error(f"config key {name}: {exc}")
-            if value is None:
-                value = default
-            setattr(self, name, value)
+    Options of other commands have no flag here, but their config values
+    are checked all the same.
+    """
+    config = load_config(args.config) if args.config else {}
+    unknown = set(config) - set(_OPTIONS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    flags = {key: value for key, value in vars(args).items() if key in _OPTIONS and value is not None}
+    if all(key in flags for key in _SNR_KEYS):
+        raise ValueError("give --snr-db or --snr-db-range, not both")
+    if all(key in config for key in _SNR_KEYS):
+        raise ValueError(f"{args.config}: set snr_db or snr_db_range, not both")
+    if any(key in flags for key in _SNR_KEYS):
+        config = {key: value for key, value in config.items() if key not in _SNR_KEYS}
+    opt = SimpleNamespace()
+    for key, option in _OPTIONS.items():
+        raw = flags.get(key, config.get(key, option.default))
         try:
-            self.omega = _parse_triple(self.omega, "--omega")
-            self.doppler = _parse_triple(self.doppler, "--doppler")
+            setattr(opt, key, None if raw is None else option.parse(raw))
         except ValueError as exc:
-            parser.error(str(exc))
-
-    def scenario(self, snr_db: float) -> Scenario:
-        try:
-            return Scenario(
-                gamma0=db_to_linear(snr_db),
-                r0=self.rate,
-                gains=LinkGains(*self.omega),
-                dopplers=NodeDopplers(*self.doppler),
-                y0=self.y0,
-            )
-        except ValueError as exc:
-            self._parser.error(str(exc))
-
-    def protocol_list(self) -> list[Protocol]:
-        try:
-            chosen = _parse_protocols(self.protocols)
-        except ValueError as exc:
-            self._parser.error(str(exc))
-        return [p for p in Protocol if p in chosen]
-
-    def snr_points(self, need_range: bool = False) -> list[float]:
-        if self.snr_db_range is not None:
-            try:
-                return _parse_range(self.snr_db_range)
-            except ValueError as exc:
-                self._parser.error(str(exc))
-        if need_range:
-            self._parser.error("this command needs --snr-db-range A:B:STEP")
-        if self.snr_db is None:
-            self._parser.error("need --snr-db (or --snr-db-range)")
-        return [self.snr_db]
-
-    def f_norm(self) -> float:
-        return max(self.doppler)
-
-    def norm_factors(self) -> tuple[float, float]:
-        """(rate_factor, duration_factor): multiply aor/aod to normalised units."""
-        if self.normalize == "hz":
-            return 1.0, 1.0
-        f_m = self.f_norm()
-        if f_m <= 0.0:
-            self._parser.error("normalisation needs a nonzero node Doppler")
-        if self.normalize == "fm":
-            return 1.0 / f_m, f_m
-        if self.fm_t is None or not 0.0 < self.fm_t < 1.0:
-            self._parser.error("block normalisation needs --fm-t in (0, 1)")
-        block = self.fm_t / f_m  # coding-block duration T in seconds
-        return block, 1.0 / block
-
-    def trace_config(self) -> TraceConfig:
-        try:
-            return TraceConfig(
-                n_samples=self.samples,
-                seed=self.seed,
-                oversampling=self.oversampling,
-                n_sinusoids=self.sinusoids,
-                n_realizations=self.realizations,
-            )
-        except ValueError as exc:
-            self._parser.error(str(exc))
+            raise ValueError(f"{_flag(key)}: {exc}") from None
+    return opt
 
 
-def _cmd_metrics(opt: _Options) -> int:
-    snr_db = opt.snr_points()[0]
-    scenario = opt.scenario(snr_db)
-    rate_f, dur_f = opt.norm_factors()
+def _snr_points(opt: SimpleNamespace, need_range: bool = False) -> list[float]:
+    if opt.snr_db_range is not None:
+        return opt.snr_db_range
+    if need_range:
+        raise ValueError("this command needs --snr-db-range A:B:STEP")
+    if opt.snr_db is None:
+        raise ValueError("need --snr-db (or --snr-db-range)")
+    return [opt.snr_db]
+
+
+def _one_snr(opt: SimpleNamespace) -> float:
+    points = _snr_points(opt)
+    if len(points) > 1:
+        raise ValueError(f"this command takes one SNR; --snr-db-range gives {len(points)} points")
+    return points[0]
+
+
+def _scenario(opt: SimpleNamespace, snr_db: float) -> Scenario:
+    return Scenario(
+        gamma0=db_to_linear(snr_db),
+        r0=opt.rate,
+        gains=LinkGains(*opt.omega),
+        dopplers=NodeDopplers(*opt.doppler),
+        y0=opt.y0,
+    )
+
+
+def _norm_factors(opt: SimpleNamespace) -> tuple[float, float]:
+    """(rate_factor, duration_factor): multiply aor/aod to normalised units."""
+    if opt.normalize == "hz":
+        return 1.0, 1.0
+    f_m = max(opt.doppler)
+    if f_m <= 0.0:
+        raise ValueError("normalisation needs a nonzero node Doppler")
+    if opt.normalize == "fm":
+        return 1.0 / f_m, f_m
+    if opt.fm_t is None or not 0.0 < opt.fm_t < 1.0:
+        raise ValueError("block normalisation needs --fm-t in (0, 1)")
+    block = opt.fm_t / f_m  # coding-block duration T in seconds
+    return block, 1.0 / block
+
+
+def _trace_config(opt: SimpleNamespace) -> TraceConfig:
+    return TraceConfig(
+        n_samples=opt.samples,
+        seed=opt.seed,
+        oversampling=opt.oversampling,
+        n_sinusoids=opt.sinusoids,
+        n_realizations=opt.realizations,
+    )
+
+
+def _cmd_metrics(opt: SimpleNamespace) -> int:
+    """exact, asymptotic, and optional MC metrics at one SNR"""
+    snr_db = _one_snr(opt)
+    scenario = _scenario(opt, snr_db)
+    rate_f, dur_f = _norm_factors(opt)
     cols = ["protocol", "p_out", "aor", "aod", "p_out_asym", "aor_asym", "aod_asym", "spacing"]
     if opt.mc:
         cols += ["p_out_mc", "aor_mc", "aod_mc"]
     rows = [cols]
-    for protocol in opt.protocol_list():
+    for protocol in opt.protocols:
         m = metrics(scenario, protocol)
         row = [
             protocol.value,
@@ -276,7 +265,7 @@ def _cmd_metrics(opt: _Options) -> int:
             _fmt(None if m.aor == 0.0 else 1.0 / (m.aor * rate_f)),
         ]
         if opt.mc:
-            rep = validate(scenario, protocol, opt.trace_config())
+            rep = validate(scenario, protocol, _trace_config(opt))
             row += _fmt_metrics(rate_f, dur_f, rep.empirical)
         rows.append(row)
     widths = [max(len(r[i]) for r in rows) for i in range(len(cols))]
@@ -286,14 +275,14 @@ def _cmd_metrics(opt: _Options) -> int:
     return 0
 
 
-def _cmd_sweep(opt: _Options) -> int:
-    points = opt.snr_points(need_range=True)
-    protocols = opt.protocol_list()
-    rate_f, dur_f = opt.norm_factors()
+def _cmd_sweep(opt: SimpleNamespace) -> int:
+    """CSV of exact and asymptotic metrics over an SNR range"""
+    points = _snr_points(opt, need_range=True)
+    rate_f, dur_f = _norm_factors(opt)
     lines = ["snr_db,protocol,p_out_exact,aor_exact,aod_exact,p_out_asym,aor_asym,aod_asym"]
     for snr_db in points:
-        scenario = opt.scenario(snr_db)
-        for protocol in sorted(protocols, key=lambda p: p.value):
+        scenario = _scenario(opt, snr_db)
+        for protocol in sorted(opt.protocols, key=lambda p: p.value):
             cells = _fmt_metrics(
                 rate_f, dur_f, metrics(scenario, protocol), asym(scenario, protocol)
             )
@@ -311,13 +300,14 @@ def _cmd_sweep(opt: _Options) -> int:
     return 0
 
 
-def _cmd_validate(opt: _Options) -> int:
-    cfg = opt.trace_config()
+def _cmd_validate(opt: SimpleNamespace) -> int:
+    """Monte Carlo validation against the exact metrics"""
+    cfg = _trace_config(opt)
     failed = False
-    for snr_db in opt.snr_points():
-        scenario = opt.scenario(snr_db)
+    for snr_db in _snr_points(opt):
+        scenario = _scenario(opt, snr_db)
         print(f"# snr_db={_fmt(snr_db)} samples={cfg.n_samples} realizations={cfg.n_realizations}")
-        for protocol in opt.protocol_list():
+        for protocol in opt.protocols:
             rep = validate(
                 scenario, protocol, cfg, tol_op=opt.tol_op, tol_aor=opt.tol_aor, tol_aod=opt.tol_aod
             )
@@ -326,14 +316,15 @@ def _cmd_validate(opt: _Options) -> int:
     return 1 if failed else 0
 
 
-def _cmd_slope(opt: _Options) -> int:
-    points = opt.snr_points(need_range=True)
+def _cmd_slope(opt: SimpleNamespace) -> int:
+    """fit log-log decay exponents over an SNR window"""
+    points = _snr_points(opt, need_range=True)
     if points[-1] - points[0] < 6.0:
-        opt._parser.error("slope window must span at least 6 dB")
-    scenarios = [opt.scenario(s) for s in points]
+        raise ValueError("slope window must span at least 6 dB")
+    scenarios = [_scenario(opt, s) for s in points]
     gammas = np.array([sc.gamma0 for sc in scenarios])
     print("protocol  metric  exponent  rms_residual  expected")
-    for protocol in opt.protocol_list():
+    for protocol in opt.protocols:
         ms = [metrics(sc, protocol) for sc in scenarios]
         law = asym(scenarios[0], protocol)
         for name, values, expected in [
@@ -346,18 +337,19 @@ def _cmd_slope(opt: _Options) -> int:
     return 0
 
 
-def _cmd_table1(opt: _Options) -> int:
-    snr_db = opt.snr_points()[0]
-    scenario = opt.scenario(snr_db)  # refuses a bad SNR, rate, gain or Doppler as a usage error
+def _cmd_table1(opt: SimpleNamespace) -> int:
+    """symmetric-network high-SNR closed forms"""
+    snr_db = _one_snr(opt)
+    scenario = _scenario(opt, snr_db)  # refuses a bad SNR, rate, gain or Doppler as a usage error
     ox, oy, oz = opt.omega
     if not (ox == oy == oz):
-        opt._parser.error("table1 assumes a symmetric network: --omega X,Y,Z must be equal")
-    f_m = opt.f_norm()
+        raise ValueError("table1 assumes a symmetric network: --omega X,Y,Z must be equal")
+    f_m = max(opt.doppler)
     fs, fr, fd = opt.doppler
     if not (fs == fr == fd and f_m > 0.0):
-        opt._parser.error("table1 assumes equal nonzero node Dopplers")
+        raise ValueError("table1 assumes equal nonzero node Dopplers")
     gamma_bar = ox * scenario.gamma0
-    rate_f, dur_f = opt.norm_factors()
+    rate_f, dur_f = _norm_factors(opt)
     print(
         f"# gamma_bar_db={_fmt(10 * math.log10(gamma_bar))} (omega={_fmt(ox)}, snr_db={_fmt(snr_db)})"
         f" rate={_fmt(opt.rate)} normalize={opt.normalize}"
@@ -381,12 +373,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; a usage, config or domain error exits with status 2.
+
+    ValueError covers MobilityError and StaticLinkError, which subclass it.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    opt = _Options(args, parser)
     try:
-        return _COMMANDS[args.command](opt)
-    except (MobilityError, ConvergenceError, OverflowError, StaticLinkError) as exc:
+        return _COMMANDS[args.command](_resolve(args))
+    except (ValueError, ConvergenceError, OverflowError, OSError) as exc:
         parser.error(str(exc))
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from coopoutage import exact_metrics
-from coopoutage.cli import db_to_linear, load_config, main
+from coopoutage.cli import _OPTIONS, _flag, db_to_linear, load_config, main
 from coopoutage.exact_metrics import Protocol
 from coopoutage.numerics import ConvergenceError
 
@@ -60,6 +60,98 @@ class TestConfigFile:
             main(["metrics", "--config", str(path)])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "snr_db = 20\nnormalize = fn\nfm_t = 1e-3\n",
+            "snr_db = 10\nmc = maybe\n",
+            "snr_db = 10\nsnr_db_range = 0:40:20\n",
+            "snr_db_range = 10:20:5\n",
+        ],
+    )
+    def test_bad_config_value_is_usage_error(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            main(["metrics", "--config", str(path)])
+        assert info.value.code == 2
+
+    def test_snr_flag_replaces_the_config_snr_selection(self, tmp_path, capsys):
+        path = tmp_path / "r.cfg"
+        path.write_text("snr_db_range = 0:40:20\nprotocols = direct\n")
+        _, out, _ = run_cli(
+            ["validate", "--config", str(path), "--snr-db", "10", "--samples", "65536"], capsys
+        )
+        assert [ln for ln in out.splitlines() if ln.startswith("#")] == [
+            "# snr_db=10 samples=65536 realizations=1"
+        ]
+
+    def test_keys_of_other_commands_are_checked_not_used(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"snr_db = 20\nout = {tmp_path / 'x.csv'}\ntol_op = 0.2\n")
+        code, out, _ = run_cli(["metrics", "--config", str(path)], capsys)
+        assert code == 0 and out.startswith("# snr_db=20 ")
+        assert not (tmp_path / "x.csv").exists()
+        path.write_text("snr_db = 20\ntol_op = x\n")
+        with pytest.raises(SystemExit) as info:
+            main(["metrics", "--config", str(path)])
+        assert info.value.code == 2
+
+
+# For each option: the command it is checked on and a valid value that
+# differs from both the default and that command's base option below.
+NON_DEFAULT = {
+    "snr_db": ("metrics", "20"),
+    "snr_db_range": ("sweep", "0:6:3"),
+    "rate": ("metrics", "2"),
+    "omega": ("metrics", "1,2,3"),
+    "doppler": ("metrics", "1,2,3"),
+    "y0": ("metrics", "0.5"),
+    "protocols": ("metrics", "df,sr"),
+    "normalize": ("metrics", "fm"),
+    "fm_t": ("metrics", "2e-3"),
+    "seed": ("validate", "7"),
+    "samples": ("validate", "32768"),
+    "oversampling": ("validate", "32"),
+    "sinusoids": ("validate", "16"),
+    "realizations": ("validate", "2"),
+    "out": ("sweep", "{tmp}/out.csv"),
+    "tol_op": ("validate", "1e-9"),
+    "tol_aor": ("validate", "1e-9"),
+    "tol_aod": ("validate", "1e-9"),
+    "mc": ("metrics", "true"),
+}
+BASE = {
+    "metrics": {"snr_db": "10", "normalize": "block", "fm_t": "1e-3", "samples": "65536"},
+    "sweep": {"snr_db_range": "0:4:2"},
+    "validate": {"snr_db": "10", "protocols": "direct", "samples": "65536"},
+}
+
+
+@pytest.mark.parametrize("key", list(_OPTIONS))
+def test_flag_and_config_value_take_one_path(key, tmp_path, capsys):
+    command, value = NON_DEFAULT[key]
+    assert command in _OPTIONS[key].commands
+    value = value.format(tmp=tmp_path)
+    written = tmp_path / "out.csv"
+    config = tmp_path / "run.cfg"
+
+    def run(base, extra, config_text=""):
+        config.write_text(config_text)
+        argv = [command, "--config", str(config)]
+        argv += [a for k, v in base.items() for a in (_flag(k), v)]
+        code = main(argv + extra)
+        text = written.read_text() if written.exists() else None
+        written.unlink(missing_ok=True)
+        return code, capsys.readouterr().out, text
+
+    base = BASE[command]
+    others = {k: v for k, v in base.items() if k != key}
+    by_flag = run(others, [_flag(key)] if key == "mc" else [_flag(key), value])
+    by_config = run(others, [], f"{key} = {value}\n")
+    assert by_flag == by_config
+    assert by_flag != run(base, [])
+
 
 class TestMetricsCommand:
     def test_block_normalised_durations(self, capsys):
@@ -92,6 +184,10 @@ class TestMetricsCommand:
         assert code == 0
         row = [ln for ln in out.splitlines() if ln.startswith("direct")][0]
         assert row.split()[1] == "0" and row.split()[3] == "nan"
+
+    def test_one_point_range_is_one_snr(self, capsys):
+        by_range = run_cli(["metrics", "--snr-db-range", "10:10:1"], capsys)
+        assert by_range == run_cli(["metrics", "--snr-db", "10"], capsys)
 
     def test_requires_an_snr(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -282,6 +378,10 @@ class TestNormalisationGuards:
         ["table1", "--snr-db", "4000"],
         ["slope", "--snr-db-range", "4000:4010:2"],
         ["validate", "--snr-db", "10", "--samples", "65536", "--doppler", "0,0,1", "--protocols", "af"],
+        ["metrics", "--snr-db", "10", "--snr-db-range", "30:30:1"],
+        ["metrics", "--snr-db-range", "10:20:5"],
+        ["table1", "--snr-db-range", "10:20:5"],
+        ["metrics", "--snr-db", "10", "--out", "x.csv"],
     ],
 )
 def test_bad_input_is_usage_error(argv, capsys):
