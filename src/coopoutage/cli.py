@@ -14,7 +14,10 @@ Config keys are the flag names with `_` in place of `-` (`mc = true` or
 other commands take, which are checked but not used.  The SNR pair resolves as one unit: if --snr-db or
 --snr-db-range is on the command line, the config's SNR keys are ignored,
 and giving both flags, or both keys in one file, is refused.  --out is
-taken by sweep only, --mc by metrics only and --tol-* by validate only.
+taken by sweep only, --mc by metrics only, --tol-* by validate only, the
+Monte Carlo trace options (--seed, --samples, --oversampling, --sinusoids,
+--realizations) by metrics and validate, and --protocols and --y0 by every
+command but table1.
 Every usage or config error exits with status 2.
 
 SNR flags are in dB of transmit SNR; everything internal runs on linear
@@ -115,6 +118,8 @@ def _parse_bool(text: str) -> bool:
 
 
 _ALL = ("metrics", "sweep", "validate", "slope", "table1")
+_SCENARIO = ("metrics", "sweep", "validate", "slope")  # every command but table1
+_TRACE = ("metrics", "validate")  # metrics for its --mc columns
 
 
 class _Option(NamedTuple):
@@ -130,15 +135,17 @@ _OPTIONS = {
     "rate": _Option(float, "0.5", "target spectral efficiency r0 (b/s/Hz)"),
     "omega": _Option(_parse_triple, "1,1,1", "mean squared gains X,Y,Z (S->D, S->R, R->D)"),
     "doppler": _Option(_parse_triple, "1,1,1", "node Dopplers S,R,D in Hz"),
-    "y0": _Option(float, None, "explicit relay-activation threshold (default g0)"),
-    "protocols": _Option(_parse_protocols, "direct,af,df,sr", "comma list from direct,af,df,sr"),
+    "y0": _Option(float, None, "explicit relay-activation threshold (default g0)", _SCENARIO),
+    "protocols": _Option(
+        _parse_protocols, "direct,af,df,sr", "comma list from direct,af,df,sr", _SCENARIO
+    ),
     "normalize": _Option(_parse_normalize, "hz", "rate/duration units: hz, fm or block"),
     "fm_t": _Option(float, None, "f_m * T for block normalisation"),
-    "seed": _Option(int, "2024", "simulation seed"),
-    "samples": _Option(int, "2000000", "Monte Carlo samples per realization"),
-    "oversampling": _Option(int, "64", "samples per 1/f_max"),
-    "sinusoids": _Option(int, "32", "rays per quadrature component"),
-    "realizations": _Option(int, "1", "independent Monte Carlo realizations"),
+    "seed": _Option(int, "2024", "simulation seed", _TRACE),
+    "samples": _Option(int, "2000000", "Monte Carlo samples per realization", _TRACE),
+    "oversampling": _Option(int, "64", "samples per 1/f_max", _TRACE),
+    "sinusoids": _Option(int, "32", "rays per quadrature component", _TRACE),
+    "realizations": _Option(int, "1", "independent Monte Carlo realizations", _TRACE),
     "out": _Option(str, "-", "output path for CSV ('-' for stdout)", ("sweep",)),
     "tol_op": _Option(float, "0.05", "relative OP tolerance", ("validate",)),
     "tol_aor": _Option(float, "0.10", "relative AOR tolerance", ("validate",)),
@@ -170,10 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args: argparse.Namespace) -> SimpleNamespace:
-    """Every option: flag, else config value, else default, then parsed.
+    """The command's options: flag, else config value, else default, then parsed.
 
-    Options of other commands have no flag here, but their config values
-    are checked all the same.
+    Options of other commands have no flag here, and their config values
+    are checked all the same but left out of the result.
     """
     config = load_config(args.config) if args.config else {}
     unknown = set(config) - set(_OPTIONS)
@@ -190,9 +197,11 @@ def _resolve(args: argparse.Namespace) -> SimpleNamespace:
     for key, option in _OPTIONS.items():
         raw = flags.get(key, config.get(key, option.default))
         try:
-            setattr(opt, key, None if raw is None else option.parse(raw))
+            value = None if raw is None else option.parse(raw)
         except ValueError as exc:
             raise ValueError(f"{_flag(key)}: {exc}") from None
+        if args.command in option.commands:
+            setattr(opt, key, value)
     return opt
 
 
@@ -219,7 +228,7 @@ def _scenario(opt: SimpleNamespace, snr_db: float) -> Scenario:
         r0=opt.rate,
         gains=LinkGains(*opt.omega),
         dopplers=NodeDopplers(*opt.doppler),
-        y0=opt.y0,
+        y0=getattr(opt, "y0", None),  # table1 takes no y0
     )
 
 

@@ -23,24 +23,29 @@ takes one of three closed paths (see its docstring).
 op_af integrates over s = (g0^2 - a)/ox, so the outer density is e^-s on
 [0, min(g0^2/ox, psi)]; its relayed-path CDF is -expm1(-b) + e^-b(1 - x K1(x))
 with 1 - x K1(x) from its positive-term series for x < 1.8, so no node
-cancels, and the returned probability is clipped to [0, 1].  aor_af folds
-the separable factors of its integrand into the quadrature weights
-(exp(-1/(t oy))/t inner; exp(-(g0^2 - a)/ox - a(1/oy + 1/oz)) outer, which
-absorbs the exp(-g0^2/ox) prefactor), so every exponent is <= 0 and deep
-outage underflows to 0 instead of overflowing.  Its outer panels are
-decades of a from 1e-10*min(g0^2, oy*oz/c1) (at deep outage the mass sits
-at a <~ oy*oz/c1, far below g0^2), with the top decade graded in g0^2 - a
-down to about ox and its last sliver mapped through a = g0^2 - span*u^2,
-which smooths the sqrt(g0^2 - a) endpoint.  The inner window of outer
-node a is |ln t - ln t*| <= arccosh(1 + psi/(2 sqrt(AB))), with A = 1/oy,
-B = a(a + c1)/oz and t* = sqrt(A/B): the two e^-psi cuts where they are far
-apart, a band around the merged peak t* at deep outage.  _af_rate_kernel
-evaluates the integrand for all blocks of one order pair at once.
+cancels, and the returned probability is clipped to [0, 1].  aor_af's
+outer panels are decades of a from 1e-10*min(g0^2, oy*oz/c1) (at deep
+outage the mass sits at a <~ oy*oz/c1, far below g0^2), with the top
+decade graded in g0^2 - a down to about ox and its last sliver mapped
+through a = g0^2 - span*u^2, which smooths the sqrt(g0^2 - a) endpoint.
+The inner window of outer node a is |ln t - ln t*| <= arccosh(1 + psi/(2k)),
+with k = sqrt(a(a + c1)/(oy oz)) and t* = 1/(oy k): the two e^-psi cuts
+where they are far apart, a band around the merged peak t* at deep outage.
+In e = t/t* the inner exponents are -k(e + 1/e), and the integrand is
+sqrt(q(e)) exp(-k(e + 1/e))/e with q a quartic whose coefficients, all
+nonnegative, are computed once per outer node (_af_rate_quartic): one
+Horner pass, one sqrt and one exp per node (_af_rate_kernel).  The
+separable factors go into the weights (half*oy*k and
+exp(-(g0^2 - a)/ox - a(1/oy + 1/oz)) per outer node, which absorbs the
+exp(-g0^2/ox) prefactor), so every exponent is <= 0 and deep outage
+underflows to 0 instead of overflowing.  The opening round evaluates both
+opening order pairs of every block on one zero-padded grid.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -207,25 +212,18 @@ def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
     return min(max(p_out, 0.0), 1.0)
 
 
-def _decade_edges(lo: float, hi: float) -> np.ndarray:
-    """Edges of geometric panels of [lo, hi], about one per decade."""
-    n_pan = max(1, math.ceil(math.log10(hi / lo)))
-    edges = lo * (hi / lo) ** (np.arange(n_pan + 1) / n_pan)
-    edges[-1] = hi
-    if not np.all(edges[:-1] < edges[1:]):
-        raise ValueError(f"need increasing panel edges on [{lo}, {hi}]")
-    return edges
+def _decade_edges(lo: float, hi: float) -> list[float]:
+    """Edges of geometric panels of [lo, hi], about one per decade.
 
-
-def _panel_rules(edges: np.ndarray, m: int):
-    """Gauss-Legendre nodes and weights of order m on each panel, shape (n_pan, m).
-
-    The mapping gauss_legendre(m, left, right) applies, for all panels at once.
+    Neighbouring edges are a factor (hi/lo)^(1/n) apart, with
+    n = max(1, ceil(log10(hi/lo))) panels: hi/lo for one panel, at least
+    sqrt(10) for more, so the edges increase whenever lo < hi.
     """
-    x, w = _legendre_base(m)
-    left, right = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (right - left)
-    return left + half * (x + 1.0), half * w
+    if not lo < hi:
+        raise ValueError(f"need increasing panel edges on [{lo}, {hi}]")
+    ratio = hi / lo
+    n_pan = max(1, math.ceil(math.log10(ratio)))
+    return [lo * ratio ** (i / n_pan) for i in range(n_pan)] + [hi]
 
 
 def _outer_edges(g0sq: float, ox: float, a_knee: float) -> np.ndarray:
@@ -241,60 +239,95 @@ def _outer_edges(g0sq: float, ox: float, a_knee: float) -> np.ndarray:
     d = g0^2 - a, down to d = min(ox, span/10): with ox << g0^2 the outer
     weight is a width-ox peak at a = g0^2, and the sqrt(d) of the rate's
     variance is least smooth near d = 0 whatever ox is.  The last panel,
-    d in [0, min(ox, span/10)], is the one _outer_rules maps quadratically.
+    d in [0, min(ox, span/10)], is the one aor_af maps quadratically.
     """
     edges = _decade_edges(1e-10 * min(g0sq, a_knee), g0sq)
     span = g0sq - edges[-2]
     d = _decade_edges(min(ox, 0.1 * span), span)
-    return np.concatenate([edges[:-1], g0sq - d[-2::-1], [g0sq]])
+    return np.array(edges[:-1] + [g0sq - di for di in d[-2::-1]] + [g0sq])
 
 
-def _outer_rules(edges: np.ndarray, m: int):
-    """_panel_rules, with the top panel mapped through a = g0^2 - span*u^2.
+@lru_cache(maxsize=16)
+def _af_rate_rules(orders: tuple) -> tuple:
+    """Legendre rules of aor_af's (outer, inner) order pairs, stacked for one grid.
 
-    Near a = g0^2 (the last edge) the AF rate integrand carries
-    sqrt(g0^2 - a), from the (g0^2 - a)*sigma2_x term of its variance, and
-    with ox << g0^2 the outer weight peaks there with width ox.  The
-    quadratic map (weight factor 2u) makes both smooth in u.
+    Returns the outer nodes plus 1 and the outer weights of all pairs, one
+    after the other, as columns of M = sum(m) rows; the inner nodes of every
+    outer node, shape (M, n) with n the largest inner order; and each pair's
+    inner weights, length n.  A shorter inner rule is padded with
+    zero-weight nodes at x = 0.  The arrays are shared by every call, so
+    they are read-only.
     """
-    a, wa = _panel_rules(edges, m)
-    x, w = _legendre_base(m)
-    u = 0.5 * (x + 1.0)
-    span = edges[-1] - edges[-2]
-    a[-1] = edges[-1] - span * u * u
-    wa[-1] = w * span * u
-    return a, wa
+    n = max(ni for _, ni in orders)
+    xo, wo, xi, wi = [], [], [], []
+    for m, ni in orders:
+        x, w = _legendre_base(m)
+        xo.append(x + 1.0)
+        wo.append(w)
+        x, w = _legendre_base(ni)
+        xi.append(np.repeat([np.pad(x, (0, n - ni))], m, axis=0))
+        wi.append(np.pad(w, (0, n - ni)))
+    xo, wo, xi = np.concatenate(xo)[:, None], np.concatenate(wo)[:, None], np.concatenate(xi)
+    for arr in (xo, wo, xi, *wi):
+        arr.setflags(write=False)
+    return xo, wo, xi, tuple(wi)
 
 
-def _af_rate_kernel(a, t, g0sq, c1, s2x, s2y, s2z, oz):
-    """Non-separable part of the AF outage-rate integrand on the grid a x t.
+def _af_rate_quartic(a, g0sq, c1, s2x, s2y, s2z, oy, oz):
+    """k and the coefficients (q4, ..., q0) of aor_af's quartic at outer nodes a.
 
-    Returns sqrt(svar) * P * exp(-a(a + c1)t/oz) with P = (at + 1)(at + c1t + 1),
-    for outer nodes a and inner nodes t that broadcast against each other
-    (aor_af: shapes (blocks, m, 1) and (blocks, m, n), every outer node with
-    its own inner nodes); aor_af holds the remaining factors in its weights.
-    Here
-        svar P^2 = (g0^2 - a) s2x P^2 + a^2 (a + c1)^2 s2y t^3 (at + 1)
-                   + a s2z (at + c1t + 1),
-    a sum of nonnegative terms built in three grid-sized buffers updated in
-    place.
+    With k = sqrt(a(a + c1)/(oy oz)), tau = 1/(oy k) and t = tau e, the
+    rate's variance times P^2, P = (at + 1)(at + c1 t + 1), is
+        svar P^2 = Cx (alpha beta e^2 + (alpha + beta) e + 1)^2
+                   + D e^3 (alpha e + 1) + Cz (beta e + 1),
+    where alpha = a tau, beta = (a + c1) tau, alpha beta = oz/oy,
+    Cx = (g0^2 - a) s2x, D = a^2 (a + c1)^2 s2y tau^3 = s2y oz^2 k/oy and
+    Cz = a s2z.  Expanded, that is q4 e^4 + q3 e^3 + q2 e^2 + q1 e + q0 with
+        q4 = Cx (alpha beta)^2 + D alpha = (oz/oy)^2 (Cx + a s2y)
+        q3 = 2 Cx alpha beta (alpha + beta) + D
+        q2 = Cx ((alpha + beta)^2 + 2 alpha beta)
+        q1 = 2 Cx (alpha + beta) + Cz beta
+        q0 = Cx + Cz,
+    every one a sum of nonnegative terms for 0 <= a <= g0^2.
     """
-    at1 = a * t
-    at1 += 1.0
-    act1 = at1 + c1 * t
-    p = at1 * act1
-    q = np.multiply(a * a * (a + c1) ** 2 * s2y, t * t * t)
-    q *= at1
-    np.multiply(act1, a * s2z, out=act1)
-    q += act1
-    np.multiply(p, p, out=p)
-    p *= (g0sq - a) * s2x
-    q += p
-    np.sqrt(q, out=q)
-    np.multiply(a * (a + c1) / -oz, t, out=p)
-    np.exp(p, out=p)
-    q *= p
-    return q
+    k = np.sqrt(a * (a + c1) / (oy * oz))
+    tau = 1.0 / (oy * k)
+    ab = oz / oy
+    s = (2.0 * a + c1) * tau  # alpha + beta
+    cx = (g0sq - a) * s2x
+    cz = a * s2z
+    two_cx_s = 2.0 * cx * s
+    q4 = ab * ab * (cx + a * s2y)
+    q3 = ab * two_cx_s + (s2y * oz * ab) * k
+    q2 = cx * (s * s + 2.0 * ab)
+    q1 = two_cx_s + cz * (a + c1) * tau
+    q0 = cx + cz
+    return k, (q4, q3, q2, q1, q0)
+
+
+def _af_rate_kernel(e, e_inv, k, q):
+    """aor_af's integrand on the grid e, weights aside: sqrt(q(e)) exp(-k(e + 1/e))/e.
+
+    q = (q4, ..., q0) holds the coefficients of the quartic q(e) of
+    _af_rate_quartic and e_inv = 1/e; the coefficients and k broadcast
+    against e (aor_af: shape (blocks, M, 1) against (blocks, M, n), every
+    outer node with its own inner nodes).  Horner's rule on a quartic with
+    nonnegative coefficients at e > 0 adds only nonnegative terms, so it
+    never cancels (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, sec. 5.1).  The two inner exponents share one exp.
+    """
+    out = e * q[0]
+    out += q[1]
+    for qi in q[2:]:
+        out *= e
+        out += qi
+    np.sqrt(out, out=out)
+    s = e + e_inv
+    s *= -k
+    np.exp(s, out=s)
+    out *= s
+    out *= e_inv
+    return out
 
 
 def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
@@ -303,8 +336,10 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     The outer integral, over the relayed-path power level a in [0, g0^2],
     runs on the geometric panels of _outer_edges: decades of a from
     1e-10*min(g0^2, oy*oz/c1), the top decade graded in g0^2 - a down to
-    about ox, its last sliver mapped through a = g0^2 - span*u^2 (see
-    _outer_rules).
+    about ox.  The last sliver is mapped through a = g0^2 - span*u^2: there
+    the integrand carries sqrt(g0^2 - a), from the (g0^2 - a)*sigma2_x term
+    of its variance, and with ox << g0^2 the outer weight peaks with width
+    ox; the quadratic map (weight factor 2u) makes both smooth in u.
 
     The inner semi-infinite integral, over t, is one Gauss-Legendre rule in
     v = ln t per outer node.  Its exponents -1/(t*oy) - a*(a + c1)*t/oz are
@@ -317,19 +352,25 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     t <= psi*oz/(a*(a + c1)) themselves.  Where they merge (deep outage) it
     narrows around the merged peak t* = sqrt(A/B) instead of cutting it off.
 
+    The integrand is evaluated in e = e^(v - v*) = t/t*: with
+    k = sqrt(AB) and t* = 1/(oy*k) the exponents are -k(e + 1/e), and the
+    variance times the squared rational factor is a quartic in e with
+    nonnegative coefficients (_af_rate_quartic), computed once per outer
+    node.  _af_rate_kernel is then one Horner pass, one sqrt and one exp
+    per inner node.  The separable factors are folded into the weights:
+    dt/t^2 = (oy*k) dv/e, so each outer node carries half*oy*k and
+    exp(-(g0^2 - a)/ox - a*(1/oy + 1/oz)), which absorbs the
+    exp(-g0^2/ox) prefactor.  Every exponent is <= 0, so deep outage
+    underflows towards 0 instead of overflowing.
+
     A block is one outer panel with the inner rules of its nodes.
     numerics.refine_blocks raises the orders of each block separately, the
     outer and inner order together (8 outer nodes per panel with 48 inner
     nodes each, up to 96 with 512; _AF_RATE_ORDERS), only while its error
     estimate (the change from its previous orders) still counts against
-    tol times the total.
-
-    The separable factors of the integrand are folded into the weights:
-    exp(-1/(t*oy))/t^2 (times dt/dv = t) into the inner ones and
-    exp(-(g0^2 - a)/ox - a*(1/oy + 1/oz)) into the outer ones, which absorbs
-    the exp(-g0^2/ox) prefactor.  Every exponent is then <= 0, so deep
-    outage underflows towards 0 instead of overflowing.  Only
-    _af_rate_kernel is evaluated, for all blocks of one order pair at once.
+    tol times the total.  The opening round evaluates both opening order
+    pairs of every block on one grid, shape (blocks, 8 + 12, 64), the
+    48-node inner rules padded with zero weights (_af_rate_rules).
     """
     _require_mobility(scenario)
     g = scenario.gains
@@ -339,34 +380,38 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
         return 0.0
     ox, oy, oz = g.omega_x, g.omega_y, g.omega_z
     c1 = th.c1
-    args = (g0sq, c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oz)
+    args = (g0sq, c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oy, oz)
     a_edges = _outer_edges(g0sq, ox, oy * oz / c1)
+    top = a_edges.size - 2
+    span = a_edges[-1] - a_edges[-2]
 
-    def blocks(order: tuple[int, int], idx: np.ndarray) -> np.ndarray:
-        m, n = order
-        a, wa = _outer_rules(a_edges, m)
-        a, wa = a[idx], wa[idx]
+    def values(orders, idx: np.ndarray) -> list:
+        xo, wo, xi, wi = _af_rate_rules(orders)
+        # outer nodes of the panels idx, shape (blocks, M, 1); the top panel
+        # comes last when idx holds it
+        left = a_edges[idx, None, None]
+        hw = 0.5 * (a_edges[idx + 1, None, None] - left)
+        a = left + hw * xo
+        wa = hw * wo
+        if idx[-1] == top:
+            u = 0.5 * xo
+            a[-1] = a_edges[-1] - span * u * u
+            wa[-1] = wo * span * u
         wa *= np.exp(-(g0sq - a) / ox - a * (1.0 / oy + 1.0 / oz))
-        # inner window of each outer node: v = v* + half*x, t = t* e^(half*x),
-        # with sqrt(AB) = k and t* = 1/(oy k), so A/t = k e^(-half*x)
-        k = np.sqrt(a * (a + c1) / (oy * oz))
+        k, q = _af_rate_quartic(a, *args)
         half = np.arccosh(1.0 + 0.5 * _PSI / k)
-        x, w = _legendre_base(n)
-        e = np.multiply.outer(half, x)
-        np.exp(e, out=e)
-        t = e * (1.0 / (oy * k))[..., None]
-        # inner weight half * w * exp(-A/t)/t = (half oy k) * w * exp(-k/e)/e;
-        # the factor of each outer node goes into its outer weight
         wa *= half * oy * k
-        np.reciprocal(e, out=e)
-        wt = np.multiply(e, -k[..., None])
-        np.exp(wt, out=wt)
-        wt *= e
-        kern = _af_rate_kernel(a[..., None], t, *args)
-        kern *= wt
-        return np.einsum("bi,bi->b", wa, kern @ w)
+        e = half * xi
+        np.exp(e, out=e)
+        kern = _af_rate_kernel(e, np.reciprocal(e), k, q)
+        out, start = [], 0
+        for (m, _), w in zip(orders, wi):
+            rows = slice(start, start + m)
+            out.append(np.einsum("bi,bi->b", wa[:, rows, 0], kern[:, rows] @ w))
+            start += m
+        return out
 
-    total = refine_blocks(blocks, a_edges.size - 1, _AF_RATE_ORDERS, tol, "AF outage rate integral")
+    total = refine_blocks(values, a_edges.size - 1, _AF_RATE_ORDERS, tol, "AF outage rate integral")
     return math.sqrt(2.0 / math.pi) / (ox * oy * oz) * total
 
 

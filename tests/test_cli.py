@@ -382,6 +382,8 @@ class TestNormalisationGuards:
         ["metrics", "--snr-db-range", "10:20:5"],
         ["table1", "--snr-db-range", "10:20:5"],
         ["metrics", "--snr-db", "10", "--out", "x.csv"],
+        ["table1", "--snr-db", "20", "--samples", "1", "--seed", "-5", "--protocols", "df", "--y0", "3"],
+        ["sweep", "--snr-db-range", "0:4:2", "--samples", "1"],
     ],
 )
 def test_bad_input_is_usage_error(argv, capsys):

@@ -94,10 +94,15 @@ def af_rate_grid(scenario, m):
     g = scenario.gains
     g0sq, psi = th.g0**2, exact_metrics._PSI
     a_head = 1e-10 * g0sq
-    a, wa = exact_metrics._panel_rules(exact_metrics._decade_edges(a_head, g0sq), m)
     t_hi = psi * g.omega_z / (a_head * (a_head + th.c1))
-    t, wt = exact_metrics._panel_rules(exact_metrics._decade_edges(1.0 / (psi * g.omega_y), t_hi), m)
-    return a.ravel(), wa.ravel(), t.ravel(), wt.ravel()
+    return (*decade_rule(a_head, g0sq, m), *decade_rule(1.0 / (psi * g.omega_y), t_hi, m))
+
+
+def decade_rule(lo, hi, m):
+    """Gauss-Legendre rules of order m on the decade panels of [lo, hi], flattened."""
+    edges = exact_metrics._decade_edges(lo, hi)
+    rules = [gauss_legendre(m, left, right) for left, right in zip(edges, edges[1:])]
+    return np.concatenate([r.nodes for r in rules]), np.concatenate([r.weights for r in rules])
 
 
 def af_rate_node_sum(scenario, m):
@@ -293,12 +298,14 @@ class TestAfOutageRate:
         g = sc.gains
         g0sq, ox, oy, oz = th.g0**2, g.omega_x, g.omega_y, g.omega_z
         a, wa, t, wt = af_rate_grid(sc, m)
-        wa = wa * np.exp(-(g0sq - a) / ox - a * (1.0 / oy + 1.0 / oz))
-        wt = wt * np.exp(-1.0 / (t * oy)) / t**2
-        kern = exact_metrics._af_rate_kernel(
-            a[:, None], t, g0sq, th.c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oz
+        k, q = exact_metrics._af_rate_quartic(
+            a[:, None], g0sq, th.c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oy, oz
         )
-        got = math.sqrt(2.0 / math.pi) / (ox * oy * oz) * float(wa @ (kern @ wt))
+        # e = t/t* = t*oy*k per outer node, and dt/t^2 = oy*k * (dt/t)/e
+        e = t * (oy * k)
+        kern = exact_metrics._af_rate_kernel(e, 1.0 / e, k, q)
+        wa = wa * np.exp(-(g0sq - a) / ox - a * (1.0 / oy + 1.0 / oz)) * oy * k[:, 0]
+        got = math.sqrt(2.0 / math.pi) / (ox * oy * oz) * float(wa @ (kern @ (wt / t)))
         assert got == pytest.approx(af_rate_node_sum(sc, m), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("snr_db", [4.0, 40.0, 76.0])
@@ -371,6 +378,38 @@ class TestAfOutageRate:
     def test_deep_outage_against_uncut_reference(self, name):
         sc = make_scenario(*self.DEEP_OUTAGE[name])
         assert aor_af(sc) == pytest.approx(af_rate_brute(sc), rel=1e-7, abs=0.0)
+
+    # aor_af as the t-grid kernel computed it (three exps per node, the same
+    # nodes, orders and tolerance): the sweep shapes at 4, 40 and 76 dB and
+    # the deep-outage points above
+    T_GRID_VALUES = {
+        ("symmetric", 4.0): 1.1511099772653024,
+        ("symmetric", 40.0): 7.096424882787154e-06,
+        ("symmetric", 76.0): 2.8225077455082174e-11,
+        ("strong_sr", 4.0): 0.27520745374969163,
+        ("strong_sr", 40.0): 1.2352851051646453e-06,
+        ("strong_sr", 76.0): 4.917674361875383e-12,
+        ("strong_rd", 4.0): 2.153293181356948,
+        ("strong_rd", 40.0): 2.8505933928018592e-05,
+        ("strong_rd", 76.0): 1.1351165820810403e-10,
+        ("weak_sd", 4.0): 4.631143209363549e-09,
+        ("weak_sd", 40.0): 0.003614325487751724,
+        ("weak_sd", 76.0): 1.4459979189209045e-08,
+        "weak_sd_seed1_-6dB": 9.517816673632468e-99,
+        "weak_sd_seed1_-4dB": 6.024755743357592e-62,
+        "weak_sd_seed1_-2dB": 8.444023947603987e-39,
+        "weak_sd_seed2_-6dB": 8.096238920224619e-116,
+        "weak_sd_seed2_-4dB": 1.8564698770631241e-72,
+        "weak_sd_seed2_-2dB": 3.5785444039767116e-45,
+        "domain_10dB_r0_8": 9.848244703515951e-112,
+        "domain_-30dB_r0_1": 2.4272326487313673e-54,
+        "random_deep_head": 7.331555977910172e-83,
+    }
+
+    @pytest.mark.parametrize("key", list(T_GRID_VALUES))
+    def test_matches_t_grid_values(self, key):
+        sc = sweep_scenario(*key) if isinstance(key, tuple) else make_scenario(*self.DEEP_OUTAGE[key])
+        assert aor_af(sc) == pytest.approx(self.T_GRID_VALUES[key], rel=1e-12, abs=0.0)
 
     def test_uncut_reference_pins(self):
         # the reference reproduces itself at a finer grid, and a value pinned

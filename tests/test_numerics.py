@@ -225,30 +225,48 @@ class TestRefineBlocks:
     X_EDGES = np.linspace(0.0, 1.0, 5)
     Y_EDGES = np.linspace(0.0, 2.0, 6)
     EXACT = 2.0 / 3.0 * -math.expm1(-2.0)
+    ORDERS = (4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
     def block_values(self, calls):
         bx, by = np.divmod(np.arange(20), 5)
 
-        def values(m, idx):
-            calls.append((m, idx))
-            out = []
-            for i, j in zip(bx[idx], by[idx]):
-                rx = gauss_legendre(m, self.X_EDGES[i], self.X_EDGES[i + 1])
-                ry = gauss_legendre(m, self.Y_EDGES[j], self.Y_EDGES[j + 1])
-                out.append(integrate_gauss(np.sqrt, rx) * integrate_gauss(lambda y: np.exp(-y), ry))
-            return np.array(out)
+        def value(m, i, j):
+            rx = gauss_legendre(m, self.X_EDGES[i], self.X_EDGES[i + 1])
+            ry = gauss_legendre(m, self.Y_EDGES[j], self.Y_EDGES[j + 1])
+            return integrate_gauss(np.sqrt, rx) * integrate_gauss(lambda y: np.exp(-y), ry)
+
+        def values(orders, idx):
+            calls.append((orders, idx))
+            return [np.array([value(m, i, j) for i, j in zip(bx[idx], by[idx])]) for m in orders]
 
         return values
 
     def test_separable_integral(self):
         calls = []
-        orders = (4, 8, 16, 32, 64, 128, 256, 512, 1024)
-        got = refine_blocks(self.block_values(calls), 20, orders, 1e-8, "test integral")
+        got = refine_blocks(self.block_values(calls), 20, self.ORDERS, 1e-8, "test integral")
         assert got == pytest.approx(self.EXACT, rel=1e-8, abs=0.0)
-        assert [m for m, _ in calls[:2]] == [4, 8]
         # past the first two orders only blocks of the first x panel move on
-        assert all(m > 8 for m, _ in calls[2:])
-        assert all(np.all(idx < 5) for _, idx in calls[2:])
+        assert all(ms[0] > 8 for ms, _ in calls[1:])
+        assert all(np.all(idx < 5) for _, idx in calls[1:])
+        # aor_af relies on increasing block indices (its top panel comes last)
+        assert all(np.all(np.diff(idx) > 0) for _, idx in calls)
+
+    def test_opening_round_is_one_call(self):
+        # both opening orders of every block come from one values call, every
+        # later call asks for one order, and the total is the one per-order
+        # evaluation gives
+        calls = []
+        values = self.block_values(calls)
+        got = refine_blocks(values, 20, self.ORDERS, 1e-8, "test integral")
+        (orders, idx), *later = calls
+        assert orders == (4, 8)
+        assert np.array_equal(idx, np.arange(20))
+        assert all(len(ms) == 1 for ms, _ in later)
+
+        def per_order(orders, idx):
+            return [values((m,), idx)[0] for m in orders]
+
+        assert got == refine_blocks(per_order, 20, self.ORDERS, 1e-8, "test integral")
 
     def test_raises_with_last_two_totals(self):
         calls = []
