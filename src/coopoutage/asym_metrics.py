@@ -69,40 +69,34 @@ def _ratio3(u: float, v: float) -> float:
 
 def _power_law(p_out: float, aor: float, d: int) -> AsymMetrics:
     """The metrics and decay slopes of a diversity-d power law; aod is nan when aor == 0."""
-    return AsymMetrics(
-        p_out=p_out,
-        aor=aor,
-        aod=p_out / aor if aor > 0.0 else math.nan,
-        slope_op=-float(d),
-        slope_aor=-(d - 0.5),
-        slope_aod=-0.5,
-    )
+    return AsymMetrics(p_out, aor, p_out / aor if aor > 0.0 else math.nan, -float(d), -(d - 0.5), -0.5)
 
 
 def _coefficients(scenario: Scenario, protocol: Protocol) -> tuple[float, float, float]:
     """(p, n, thr) with OP ~ p * thr^(2d) and AOR ~ n * thr^(2d - 1).
 
     thr is the protocol's outage level, so both coefficients depend only on
-    the gains and Dopplers.
+    the gains and Dopplers.  Direct and DF take one square root each;
+    only AF and SR need the square roots of all three derivative variances.
     """
     _require_mobility(scenario)
     g = scenario.gains
     ld, th = scenario.derived
-    sx = math.sqrt(ld.sigma2_x)
-    sy = math.sqrt(ld.sigma2_y)
-    sz = math.sqrt(ld.sigma2_z)
     ox, oy, oz = g.omega_x, g.omega_y, g.omega_z
-    p = (oy + oz) / (2.0 * ox * oy * oz)  # AF and SR; the first-order protocols replace it
-    if protocol is Protocol.DIRECT:
+    token = protocol.token
+    if token == "direct":
         p, n = 1.0 / ox, math.sqrt(2.0 * ld.sigma2_x / math.pi) / ox
-    elif protocol is Protocol.DF:
+    elif token == "df":
         p, n = 1.0 / oy, math.sqrt(2.0 * ld.sigma2_y / math.pi) / oy
-    elif protocol is Protocol.AF:
-        n = 4.0 / (3.0 * _SQRT_2PI) * (_ratio3(sx, sz) / (ox * oz) + _ratio3(sx, sy) / (ox * oy))
-    elif protocol is Protocol.SR:
-        n = ((sx + sy / math.sqrt(2.0)) / (ox * oy) + 2.0 * math.sqrt(2.0) / 3.0 * _ratio3(sz, sx) / (ox * oz)) / _SQRT_PI
-    else:
-        raise ValueError(f"unknown protocol {protocol}")
+    else:  # AF and SR, the second-order protocols
+        p = (oy + oz) / (2.0 * ox * oy * oz)
+        sx = math.sqrt(ld.sigma2_x)
+        sy = math.sqrt(ld.sigma2_y)
+        sz = math.sqrt(ld.sigma2_z)
+        if token == "af":
+            n = 4.0 / (3.0 * _SQRT_2PI) * (_ratio3(sx, sz) / (ox * oz) + _ratio3(sx, sy) / (ox * oy))
+        else:
+            n = ((sx + sy / math.sqrt(2.0)) / (ox * oy) + 2.0 * math.sqrt(2.0) / 3.0 * _ratio3(sz, sx) / (ox * oz)) / _SQRT_PI
     return p, n, protocol.level(th)
 
 

@@ -95,6 +95,9 @@ class Scenario:
     ``derived`` is derive(self), computed once on first use and kept on the
     instance.  It is not a field, so equality, hashing, repr and
     dataclasses.replace ignore it, and a replaced scenario derives afresh.
+    The two terms DF and SR share, Pr{U > g0} and the crossing rate of
+    U = sqrt(X^2 + Z^2) at g0, are kept on the instance the same way, by
+    exact_metrics._u_exceeds and _u_lcr, each filled on first use.
     """
 
     gamma0: float

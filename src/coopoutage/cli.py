@@ -199,7 +199,8 @@ def _resolve(args: argparse.Namespace) -> SimpleNamespace:
         try:
             value = None if raw is None else option.parse(raw)
         except ValueError as exc:
-            raise ValueError(f"{_flag(key)}: {exc}") from None
+            where = _flag(key) if key in flags else f"{args.config}: {key} = {raw}"
+            raise ValueError(f"{where}: {exc}") from None
         if args.command in option.commands:
             setattr(opt, key, value)
     return opt

@@ -18,7 +18,8 @@ the (outer, inner) orders ((8, 48), (12, 64), ... (96, 512)) only of the
 blocks whose error estimate still counts against tol (1e-7).  Neither runs
 a Gauss-Laguerre cross-check.  Direct, DF and SR are closed form with no
 quadrature: lcr_u, the crossing rate of sqrt(X^2 + Z^2) behind DF and SR,
-takes one of three closed paths (see its docstring).
+takes one of three closed paths (see its docstring), and it and
+prob_u_exceeds run once per Scenario (_u_lcr, _u_exceeds).
 
 op_af integrates over s = (g0^2 - a)/ox, so the outer density is e^-s on
 [0, min(g0^2/ox, psi)]; its relayed-path CDF is -expm1(-b) + e^-b(1 - x K1(x))
@@ -46,11 +47,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 from scipy import special as _sp
 
-from .channel import MobilityError, Scenario, Thresholds, rayleigh_lcr
+from .channel import MobilityError, Scenario, rayleigh_lcr
 from .numerics import (
     _legendre_base,
     refine,
@@ -88,20 +90,28 @@ _AF_RATE_ORDERS = tuple(zip((8, 12, 16, 24, 32, 48, 64, 96), (48, 64, 96, 128, 1
 
 
 class Protocol(Enum):
-    """Transmission scheme; the value doubles as the CLI / CSV token."""
+    """Transmission scheme.
 
-    DIRECT = "direct"
-    AF = "af"
-    DF = "df"
-    SR = "sr"
+    Each member carries plain attributes, set once in __new__: token, the
+    CLI / CSV token (also the member's value, so Protocol("sr") is
+    Protocol.SR); diversity_gain; and level(th), the outage threshold of the
+    equivalent gain, th.x0 for direct and th.g0 otherwise.  The scalar
+    metrics read these instead of comparing members, which keeps enum
+    property and class-attribute lookups off their call path.
+    """
 
-    @property
-    def diversity_gain(self) -> int:
-        return 2 if self is Protocol.AF or self is Protocol.SR else 1
+    DIRECT = ("direct", 1, "x0")
+    AF = ("af", 2, "g0")
+    DF = ("df", 1, "g0")
+    SR = ("sr", 2, "g0")
 
-    def level(self, th: Thresholds) -> float:
-        """Outage threshold of the equivalent gain: x0 for direct, g0 otherwise."""
-        return th.x0 if self is Protocol.DIRECT else th.g0
+    def __new__(cls, token: str, diversity_gain: int, level: str):
+        member = object.__new__(cls)
+        member._value_ = token
+        member.token = token
+        member.diversity_gain = diversity_gain
+        member.level = attrgetter(level)
+        return member
 
 
 @dataclass(frozen=True)
@@ -506,12 +516,42 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
     return coef * diff / abs(w) ** 1.5
 
 
+def _u_exceeds(scenario: Scenario) -> float:
+    """Pr{U > g0} of the scenario: prob_u_exceeds, once per Scenario instance.
+
+    Kept in the instance __dict__ under "_u_exceeds", as cached_property
+    keeps Scenario.derived there: not a field, so equality, hashing, repr
+    and dataclasses.replace ignore it.
+    """
+    terms = scenario.__dict__
+    p_u = terms.get("_u_exceeds")
+    if p_u is None:
+        g = scenario.gains
+        p_u = terms["_u_exceeds"] = prob_u_exceeds(scenario.derived[1].g0, g.omega_x, g.omega_z)
+    return p_u
+
+
+def _u_lcr(scenario: Scenario) -> float:
+    """U's downward crossing rate (Hz) at g0: lcr_u, once per Scenario instance.
+
+    Kept under "_u_lcr" like _u_exceeds; only the outage rates ask for it,
+    so an OP-only call never computes it.
+    """
+    terms = scenario.__dict__
+    n_u = terms.get("_u_lcr")
+    if n_u is None:
+        g = scenario.gains
+        ld, th = scenario.derived
+        n_u = terms["_u_lcr"] = lcr_u(th.g0, g.omega_x, g.omega_z, ld.sigma2_x, ld.sigma2_z)
+    return n_u
+
+
 def op_df(scenario: Scenario) -> float:
     """Outage probability of DF relaying (repetition coding, full decoding)."""
     g = scenario.gains
     _, th = scenario.derived
     g0sq = th.g0**2
-    return 1.0 - math.exp(-g0sq / g.omega_y) * prob_u_exceeds(th.g0, g.omega_x, g.omega_z)
+    return 1.0 - math.exp(-g0sq / g.omega_y) * _u_exceeds(scenario)
 
 
 def aor_df(scenario: Scenario) -> float:
@@ -520,10 +560,8 @@ def aor_df(scenario: Scenario) -> float:
     g = scenario.gains
     ld, th = scenario.derived
     n_y = rayleigh_lcr(th.g0, g.omega_y, ld.sigma2_y)
-    n_u = lcr_u(th.g0, g.omega_x, g.omega_z, ld.sigma2_x, ld.sigma2_z)
-    p_u = prob_u_exceeds(th.g0, g.omega_x, g.omega_z)
     p_y = math.exp(-th.g0**2 / g.omega_y)
-    return n_y * p_u + n_u * p_y
+    return n_y * _u_exceeds(scenario) + _u_lcr(scenario) * p_y
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +602,7 @@ def op_sr(scenario: Scenario) -> float:
     g0sq = th.g0**2
     p_y_le = -math.expm1(-th.y0**2 / g.omega_y)
     p_2x_le = -math.expm1(-g0sq / (2.0 * g.omega_x))
-    p_u_le = 1.0 - prob_u_exceeds(th.g0, g.omega_x, g.omega_z)
+    p_u_le = 1.0 - _u_exceeds(scenario)
     return p_2x_le * p_y_le + p_u_le * (1.0 - p_y_le)
 
 
@@ -582,21 +620,21 @@ def aor_sr(scenario: Scenario) -> float:
     p_y_le = -math.expm1(-th.y0**2 / g.omega_y)
     p_y_gt = 1.0 - p_y_le
     n_2x = rayleigh_lcr(th.g0 / math.sqrt(2.0), g.omega_x, ld.sigma2_x)
-    n_u = lcr_u(th.g0, g.omega_x, g.omega_z, ld.sigma2_x, ld.sigma2_z)
     n_y = rayleigh_lcr(th.y0, g.omega_y, ld.sigma2_y)
     p3, p4 = sr_switch_probs(th.g0, g.omega_x, g.omega_z)
-    return n_2x * p_y_le + n_u * p_y_gt + n_y * (p3 + p4)
+    return n_2x * p_y_le + _u_lcr(scenario) * p_y_gt + n_y * (p3 + p4)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
+# keyed by Protocol.token: a str key hashes in C, an Enum member in Python
 _EXACT = {
-    Protocol.DIRECT: (op_direct, aor_direct),
-    Protocol.AF: (op_af, aor_af),
-    Protocol.DF: (op_df, aor_df),
-    Protocol.SR: (op_sr, aor_sr),
+    "direct": (op_direct, aor_direct),
+    "af": (op_af, aor_af),
+    "df": (op_df, aor_df),
+    "sr": (op_sr, aor_sr),
 }
 
 
@@ -606,10 +644,10 @@ def metrics(scenario: Scenario, protocol: Protocol) -> OutageMetrics:
     Raises OverflowError when the rate is so small (subnormal) that
     AOD = OP/AOR exceeds the float range, where OP = AOR*AOD cannot hold.
     """
-    op, rate = _EXACT[protocol]
+    op, rate = _EXACT[protocol.token]
     p_out = op(scenario)
     aor = rate(scenario)
     aod = p_out / aor if aor > 0.0 else None
     if aod == math.inf:
-        raise OverflowError(f"{protocol.value}: outage duration OP/AOR overflows at AOR {aor:.6g} Hz")
+        raise OverflowError(f"{protocol.token}: outage duration OP/AOR overflows at AOR {aor:.6g} Hz")
     return OutageMetrics(p_out=p_out, aor=aor, aod=aod)

@@ -1,6 +1,7 @@
 """High-SNR closed forms: reductions, table coefficients, and slope laws."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -77,6 +78,7 @@ class TestAsymClosedForms:
     def test_duration_identity_and_slopes(self):
         sc = make_scenario(gamma0=30.0)
         _, th = derive(sc)
+        assert [p.value for p in Protocol] == ["direct", "af", "df", "sr"]
         for protocol in Protocol:
             a = asym(sc, protocol)
             assert a.aod * a.aor == pytest.approx(a.p_out, rel=1e-14)
@@ -84,6 +86,10 @@ class TestAsymClosedForms:
             assert a.slope_op == -d
             assert a.slope_aor == -(d - 0.5)
             assert a.slope_aod == -0.5
+            # the member data: token, gain and level rule of each protocol
+            assert Protocol(protocol.value) is protocol and protocol.token == protocol.value
+            assert pickle.loads(pickle.dumps(protocol)) is protocol
+            assert d == (2 if protocol in (Protocol.AF, Protocol.SR) else 1)
             assert protocol.level(th) == (th.x0 if protocol is Protocol.DIRECT else th.g0)
 
 
@@ -141,6 +147,7 @@ class TestTable1:
                 assert t.p_out == pytest.approx(a.p_out, rel=1e-12)
                 assert t.aor == pytest.approx(a.aor, rel=1e-12)
                 assert system.diversity_gain == protocol.diversity_gain
+                assert Protocol(system.value) is protocol
 
     def test_sr_duration_row(self):
         t = table1_symmetric(100.0, 0.5, 1.0, Table1System.SR)

@@ -60,21 +60,23 @@ class TestConfigFile:
             main(["metrics", "--config", str(path)])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "snr_db = 20\nnormalize = fn\nfm_t = 1e-3\n",
-            "snr_db = 10\nmc = maybe\n",
-            "snr_db = 10\nsnr_db_range = 0:40:20\n",
-            "snr_db_range = 10:20:5\n",
-        ],
-    )
-    def test_bad_config_value_is_usage_error(self, text, tmp_path, capsys):
+    BAD_CONFIGS = [
+        ("metrics", "snr_db = 20\nnormalize = fn\nfm_t = 1e-3\n", "bad.cfg: normalize = fn: expected hz"),
+        ("metrics", "snr_db = 10\nmc = maybe\n", "bad.cfg: mc = maybe: expected true or false"),
+        ("metrics", "snr_db = 10\nsnr_db_range = 0:40:20\n", "bad.cfg: set snr_db or snr_db_range"),
+        ("metrics", "snr_db_range = 10:20:5\n", "this command takes one SNR"),
+        # table1 has no --y0 flag, so the error must name the file and key
+        ("table1", "snr_db = 20\ny0 = x\n", "bad.cfg: y0 = x: could not convert"),
+    ]
+
+    @pytest.mark.parametrize("command, text, message", BAD_CONFIGS, ids=[text for _, text, _ in BAD_CONFIGS])
+    def test_bad_config_value_is_usage_error(self, command, text, message, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         with pytest.raises(SystemExit) as info:
-            main(["metrics", "--config", str(path)])
+            main([command, "--config", str(path)])
         assert info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_snr_flag_replaces_the_config_snr_selection(self, tmp_path, capsys):
         path = tmp_path / "r.cfg"
@@ -422,7 +424,7 @@ def test_convergence_failure_is_usage_error(monkeypatch, capsys):
     def no_convergence(scenario, tol=1e-7):
         raise ConvergenceError("AF outage rate integral did not converge by order (96, 512): 1.0, 2.0", (1.0, 2.0))
 
-    monkeypatch.setitem(exact_metrics._EXACT, Protocol.AF, (exact_metrics.op_af, no_convergence))
+    monkeypatch.setitem(exact_metrics._EXACT, Protocol.AF.token, (exact_metrics.op_af, no_convergence))
     with pytest.raises(SystemExit) as info:
         main(WEAK_SD_MINUS_8DB)
     assert info.value.code == 2

@@ -1,5 +1,6 @@
 """Exact OP/AOR/AOD expressions against closed anchors, oracles, and each other."""
 
+import dataclasses
 import math
 import warnings
 
@@ -641,6 +642,74 @@ class TestSelectionRelaying:
         assert op_sr(make_scenario(y0=0.5)) != op_sr(make_scenario())
 
 
+class TestSharedUTerms:
+    """Pr{U > g0} and U's crossing rate, computed once per Scenario instance."""
+
+    ASYMMETRIC = dict(gamma0=10.0, omegas=(0.5, 2.0, 1.0), dopplers=(1.3, 0.7, 0.4))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"prob_u_exceeds": 0, "lcr_u": 0}
+        for name in calls:
+            original = getattr(exact_metrics, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(exact_metrics, name, counting)
+        return calls
+
+    def test_df_and_sr_compute_each_term_once(self, calls):
+        sc = make_scenario(**self.ASYMMETRIC)
+        fresh = make_scenario(**self.ASYMMETRIC)
+        values = [f(sc) for f in (op_df, aor_df, op_sr, aor_sr)]
+        assert calls == {"prob_u_exceeds": 1, "lcr_u": 1}
+        # a second round reuses the kept terms and gives the same values
+        assert [f(sc) for f in (op_df, aor_df, op_sr, aor_sr)] == values
+        for protocol in (Protocol.DF, Protocol.SR):
+            metrics(sc, protocol)
+        assert calls == {"prob_u_exceeds": 1, "lcr_u": 1}
+        # the values are those of the module functions at the scenario
+        ld, th = derive(fresh)
+        g = fresh.gains
+        assert sc.__dict__["_u_exceeds"] == prob_u_exceeds(th.g0, g.omega_x, g.omega_z)
+        assert sc.__dict__["_u_lcr"] == lcr_u(th.g0, g.omega_x, g.omega_z, ld.sigma2_x, ld.sigma2_z)
+
+    def test_outage_probability_never_computes_the_crossing_rate(self, calls):
+        sc = make_scenario(**self.ASYMMETRIC)
+        op_df(sc)
+        op_sr(sc)
+        assert calls == {"prob_u_exceeds": 1, "lcr_u": 0}
+
+    def test_replaced_scenario_recomputes_its_terms(self, calls):
+        sc = make_scenario(**self.ASYMMETRIC)
+        aor_df(sc)
+        other = dataclasses.replace(sc, gamma0=1000.0)
+        assert aor_df(other) == aor_df(make_scenario(**{**self.ASYMMETRIC, "gamma0": 1000.0}))
+        assert aor_df(other) != aor_df(sc)
+        # sc, other and the fresh reference scenario: one pair of terms each
+        assert calls == {"prob_u_exceeds": 3, "lcr_u": 3}
+
+    def test_terms_are_not_part_of_value_identity(self):
+        filled, fresh = make_scenario(**self.ASYMMETRIC), make_scenario(**self.ASYMMETRIC)
+        op_sr(filled)
+        aor_sr(filled)
+        assert "_u_exceeds" in filled.__dict__ and "_u_lcr" in filled.__dict__
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+
+    def test_all_static_scenario_gives_op_and_rejects_rate(self):
+        sc = make_scenario(**{**self.ASYMMETRIC, "dopplers": (0.0, 0.0, 0.0)})
+        moving = make_scenario(**self.ASYMMETRIC)
+        assert op_df(sc) == op_df(moving)
+        assert op_sr(sc) == op_sr(moving)
+        for rate in (aor_df, aor_sr):
+            with pytest.raises(MobilityError):
+                rate(sc)
+        assert "_u_lcr" not in sc.__dict__
+
+
 class TestAsymmetricScenarioPins:
     """Frozen trace-oracle values for a fully asymmetric operating point.
 
@@ -699,7 +768,7 @@ class TestMetricsDispatch:
     )
     def test_subnormal_rate_raises_instead_of_infinite_duration(self, protocol, snr_db, r0, omegas, dopplers):
         sc = make_scenario(gamma0=10.0 ** (snr_db / 10.0), r0=r0, omegas=omegas, dopplers=dopplers)
-        op, rate = exact_metrics._EXACT[protocol]
+        op, rate = exact_metrics._EXACT[protocol.token]
         assert 0.0 < rate(sc) < 1e-300 and op(sc) > 0.0
         with pytest.raises(OverflowError, match=f"{protocol.value}: .* AOR"):
             metrics(sc, protocol)
