@@ -9,8 +9,9 @@ symmetric-network table of coefficients (including a 1x2 SIMO maximum
 ratio combining baseline), and the rate/duration versus outage-probability
 power laws obtained by eliminating the SNR.  d and the outage level (x0 or
 g0) come from the Protocol member, each protocol's coefficients from
-_coefficients, and _power_law builds the metrics and slopes of both asym
-and the Table 1 rows.
+_coefficients, each Table 1 row's coefficients from its Table1System
+member, and _power_law builds the metrics and slopes of both asym and the
+Table 1 rows.
 """
 
 import math
@@ -49,13 +50,28 @@ class AsymMetrics:
 
 
 class Table1System(Enum):
-    """Systems covered by the symmetric-network coefficient table."""
+    """Systems covered by the symmetric-network coefficient table.
 
-    DIRECT = "direct"
-    SIMO_1X2 = "simo-1x2"
-    AF = "af"
-    DF = "df"
-    SR = "sr"
+    Each member is built from (token, p, n), its Table 1 row: with
+    rho = c/gamma_bar, OP = p * rho^d and AOR = n * sqrt(pi) * f_m *
+    rho^(d - 1/2), where c = 2^r0 - 1 for the single-hop direct row and
+    2^(2 r0) - 1 otherwise.  token is the member's value; diversity_gain d
+    is read from Protocol, and only the 1x2 SIMO baseline, which is not a
+    protocol, states its own (2).
+    """
+
+    DIRECT = ("direct", 1.0, 2.0)
+    SIMO_1X2 = ("simo-1x2", 0.5, 2.0)
+    AF = ("af", 1.0, 4.0)
+    DF = ("df", 1.0, 2.0)
+    SR = ("sr", 1.0, 3.0 + math.sqrt(2.0))
+
+    def __new__(cls, token: str, p: float, n: float):
+        member = object.__new__(cls)
+        member._value_ = token
+        member.p = p
+        member.n = n
+        return member
 
     @property
     def diversity_gain(self) -> int:
@@ -67,8 +83,13 @@ def _ratio3(u: float, v: float) -> float:
     return (u * u + u * v + v * v) / (u + v)
 
 
-def _power_law(p_out: float, aor: float, d: int) -> AsymMetrics:
-    """The metrics and decay slopes of a diversity-d power law; aod is nan when aor == 0."""
+def _power_law(p: float, n: float, level: float, d: int) -> AsymMetrics:
+    """The diversity-d power law OP = p*level^(2d), AOR = n*level^(2d - 1) and its slopes.
+
+    aod is nan when aor == 0.
+    """
+    p_out = p * level ** (2 * d)
+    aor = n * level ** (2 * d - 1)
     return AsymMetrics(p_out, aor, p_out / aor if aor > 0.0 else math.nan, -float(d), -(d - 0.5), -0.5)
 
 
@@ -107,9 +128,7 @@ def asym(scenario: Scenario, protocol: Protocol) -> AsymMetrics:
     policy y0 = g0; an explicit fixed y0 changes the high-SNR behaviour
     and is not covered by these closed forms.
     """
-    p_coef, n_coef, thr = _coefficients(scenario, protocol)
-    d = protocol.diversity_gain
-    return _power_law(p_coef * thr ** (2 * d), n_coef * thr ** (2 * d - 1), d)
+    return _power_law(*_coefficients(scenario, protocol), protocol.diversity_gain)
 
 
 def table1_symmetric(gamma_bar: float, r0: float, f_m: float, system: Table1System) -> AsymMetrics:
@@ -119,34 +138,18 @@ def table1_symmetric(gamma_bar: float, r0: float, f_m: float, system: Table1Syst
     same maximum Doppler f_m, and gamma_bar is the average received SNR
     (mean square gain times transmit SNR).  The direct-transmission row
     uses the single-hop spectral efficiency (2^r0 - 1, full-time channel
-    use); the cooperative rows use the half-duplex 2^(2 r0) - 1.
+    use); the cooperative rows use the half-duplex 2^(2 r0) - 1.  Each
+    row is the power law of its member's (p, n) at level sqrt(rho),
+    rho = c/gamma_bar.  NaN and infinite arguments raise ValueError.
     """
-    if gamma_bar <= 0.0:
-        raise ValueError("gamma_bar must be positive")
-    if f_m <= 0.0:
-        raise ValueError("f_m must be positive")
-    if not r0 >= 0.0:
-        raise ValueError("r0 must be nonnegative")
-    c2 = 2.0 ** (2.0 * r0) - 1.0
-    c1 = 2.0**r0 - 1.0
-    if system is Table1System.DIRECT:
-        p_out = c1 / gamma_bar
-        aor = 2.0 * _SQRT_PI * f_m * math.sqrt(c1 / gamma_bar)
-    elif system is Table1System.SIMO_1X2:
-        p_out = c2**2 / (2.0 * gamma_bar**2)
-        aor = 2.0 * _SQRT_PI * f_m * (c2 / gamma_bar) ** 1.5
-    elif system is Table1System.AF:
-        p_out = c2**2 / gamma_bar**2
-        aor = 4.0 * _SQRT_PI * f_m * (c2 / gamma_bar) ** 1.5
-    elif system is Table1System.DF:
-        p_out = c2 / gamma_bar
-        aor = 2.0 * _SQRT_PI * f_m * math.sqrt(c2 / gamma_bar)
-    elif system is Table1System.SR:
-        p_out = c2**2 / gamma_bar**2
-        aor = (math.sqrt(2.0) + 3.0) * _SQRT_PI * f_m * (c2 / gamma_bar) ** 1.5
-    else:
-        raise ValueError(f"unknown system {system}")
-    return _power_law(p_out, aor, system.diversity_gain)
+    if not (math.isfinite(gamma_bar) and gamma_bar > 0.0):
+        raise ValueError("gamma_bar must be finite and positive")
+    if not (math.isfinite(f_m) and f_m > 0.0):
+        raise ValueError("f_m must be finite and positive")
+    if not (math.isfinite(r0) and r0 >= 0.0):
+        raise ValueError("r0 must be finite and nonnegative")
+    c = 2.0 ** (r0 if system is Table1System.DIRECT else 2.0 * r0) - 1.0
+    return _power_law(system.p, system.n * _SQRT_PI * f_m, math.sqrt(c / gamma_bar), system.diversity_gain)
 
 
 def op_to_aor(p_out: float, scenario: Scenario, protocol: Protocol) -> float:

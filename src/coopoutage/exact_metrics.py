@@ -89,31 +89,6 @@ _PSI = 46.0
 _AF_RATE_ORDERS = tuple(zip((8, 12, 16, 24, 32, 48, 64, 96), (48, 64, 96, 128, 192, 256, 384, 512)))
 
 
-class Protocol(Enum):
-    """Transmission scheme.
-
-    Each member carries plain attributes, set once in __new__: token, the
-    CLI / CSV token (also the member's value, so Protocol("sr") is
-    Protocol.SR); diversity_gain; and level(th), the outage threshold of the
-    equivalent gain, th.x0 for direct and th.g0 otherwise.  The scalar
-    metrics read these instead of comparing members, which keeps enum
-    property and class-attribute lookups off their call path.
-    """
-
-    DIRECT = ("direct", 1, "x0")
-    AF = ("af", 2, "g0")
-    DF = ("df", 1, "g0")
-    SR = ("sr", 2, "g0")
-
-    def __new__(cls, token: str, diversity_gain: int, level: str):
-        member = object.__new__(cls)
-        member._value_ = token
-        member.token = token
-        member.diversity_gain = diversity_gain
-        member.level = attrgetter(level)
-        return member
-
-
 @dataclass(frozen=True)
 class OutageMetrics:
     """Outage probability, rate (Hz) and mean duration (s) at one operating point.
@@ -465,9 +440,11 @@ def _k32(w: float) -> float:
 
     For w > 0 it is e^w Gamma(3/2, w) = (sqrt(pi)/2) erfcx(sqrt(w)) + sqrt(w).
     For w < 0 it is D(sqrt(-w)) - sqrt(-w) with Dawson's integral D, since
-    int sqrt(u) e^u du = e^u (sqrt(u) - D(sqrt(u))).
+    int sqrt(u) e^u du = e^u (sqrt(u) - D(sqrt(u))).  The branch follows the
+    sign bit, so lcr_u's K(s w) at s = 0 (a static link), where s w is +0.0
+    or -0.0 with the sign of w, takes the same branch as its K(w).
     """
-    if w > 0.0:
+    if math.copysign(1.0, w) > 0.0:
         return 0.5 * math.sqrt(math.pi) * float(_sp.erfcx(math.sqrt(w))) + math.sqrt(w)
     return float(_sp.dawsn(math.sqrt(-w))) - math.sqrt(-w)
 
@@ -476,7 +453,10 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
     """Downward level-crossing rate (Hz) of U(t) = sqrt(X^2(t) + Z^2(t)).
 
     X and Z are independent Rayleigh processes with mean squares omega_x,
-    omega_z and gain-derivative variances sigma2_x, sigma2_z.  The rate is
+    omega_z and gain-derivative variances sigma2_x, sigma2_z.  U is
+    symmetric in its two links, so when sigma2_x == 0 (X static, Z moving)
+    the two are swapped first and X is always a moving link unless both are
+    static (rate 0).  The rate is
     coef * e^{-g0^2/ox} * int_1^s sqrt(t) e^{w(1 - t)} dt with
     s = sigma2_z / sigma2_x, evaluated in closed form by one of three paths:
 
@@ -494,6 +474,8 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
         raise ValueError("g0 must be nonnegative")
     if g0 == 0.0:
         return 0.0
+    if sigma2_x == 0.0:
+        omega_x, omega_z, sigma2_x, sigma2_z = omega_z, omega_x, sigma2_z, sigma2_x
     g0sq = g0 * g0
     sx = math.sqrt(sigma2_x)
 
@@ -626,16 +608,37 @@ def aor_sr(scenario: Scenario) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# protocols
 
 
-# keyed by Protocol.token: a str key hashes in C, an Enum member in Python
-_EXACT = {
-    "direct": (op_direct, aor_direct),
-    "af": (op_af, aor_af),
-    "df": (op_df, aor_df),
-    "sr": (op_sr, aor_sr),
-}
+class Protocol(Enum):
+    """Transmission scheme, with every exact fact about it as member data.
+
+    Each member is built from (token, diversity_gain, level, op, aor) and
+    keeps them as plain attributes, set once in __new__: token, the CLI /
+    CSV token (also the member's value, so Protocol("sr") is Protocol.SR);
+    diversity_gain, the high-SNR decay order d of its outage probability;
+    level(th), the outage threshold of its equivalent gain, th.x0 for
+    direct and th.g0 otherwise; and op(scenario) and aor(scenario), its
+    exact outage probability and rate.  The scalar metrics read these
+    instead of comparing members, which keeps enum property and
+    class-attribute lookups off their call path.
+    """
+
+    DIRECT = ("direct", 1, "x0", op_direct, aor_direct)
+    AF = ("af", 2, "g0", op_af, aor_af)
+    DF = ("df", 1, "g0", op_df, aor_df)
+    SR = ("sr", 2, "g0", op_sr, aor_sr)
+
+    def __new__(cls, token: str, diversity_gain: int, level: str, op, aor):
+        member = object.__new__(cls)
+        member._value_ = token
+        member.token = token
+        member.diversity_gain = diversity_gain
+        member.level = attrgetter(level)
+        member.op = op
+        member.aor = aor
+        return member
 
 
 def metrics(scenario: Scenario, protocol: Protocol) -> OutageMetrics:
@@ -644,9 +647,8 @@ def metrics(scenario: Scenario, protocol: Protocol) -> OutageMetrics:
     Raises OverflowError when the rate is so small (subnormal) that
     AOD = OP/AOR exceeds the float range, where OP = AOR*AOD cannot hold.
     """
-    op, rate = _EXACT[protocol.token]
-    p_out = op(scenario)
-    aor = rate(scenario)
+    p_out = protocol.op(scenario)
+    aor = protocol.aor(scenario)
     aod = p_out / aor if aor > 0.0 else None
     if aod == math.inf:
         raise OverflowError(f"{protocol.token}: outage duration OP/AOR overflows at AOR {aor:.6g} Hz")

@@ -149,6 +149,27 @@ class TestTable1:
                 assert system.diversity_gain == protocol.diversity_gain
                 assert Protocol(system.value) is protocol
 
+    def test_rows_match_paper_closed_forms(self):
+        # Table 1 as the paper writes it, at one (gamma_bar, r0, f_m)
+        gamma_bar, r0, f_m = 250.0, 0.75, 2.5
+        c1, c2 = 2.0**r0 - 1.0, 2.0 ** (2.0 * r0) - 1.0
+        rows = {
+            Table1System.DIRECT: (c1 / gamma_bar, 2.0 * _SQRT_PI * f_m * math.sqrt(c1 / gamma_bar)),
+            Table1System.SIMO_1X2: (c2**2 / (2.0 * gamma_bar**2), 2.0 * _SQRT_PI * f_m * (c2 / gamma_bar) ** 1.5),
+            Table1System.AF: (c2**2 / gamma_bar**2, 4.0 * _SQRT_PI * f_m * (c2 / gamma_bar) ** 1.5),
+            Table1System.DF: (c2 / gamma_bar, 2.0 * _SQRT_PI * f_m * math.sqrt(c2 / gamma_bar)),
+            Table1System.SR: (
+                c2**2 / gamma_bar**2,
+                (3.0 + math.sqrt(2.0)) * _SQRT_PI * f_m * (c2 / gamma_bar) ** 1.5,
+            ),
+        }
+        assert list(rows) == list(Table1System)
+        for system, (p_out, aor) in rows.items():
+            t = table1_symmetric(gamma_bar, r0, f_m, system)
+            assert t.p_out == pytest.approx(p_out, rel=1e-15)
+            assert t.aor == pytest.approx(aor, rel=1e-15)
+            assert t.aod == pytest.approx(p_out / aor, rel=1e-15)
+
     def test_sr_duration_row(self):
         t = table1_symmetric(100.0, 0.5, 1.0, Table1System.SR)
         assert t.aod == pytest.approx(1.0 / ((math.sqrt(2.0) + 3.0) * _SQRT_PI * 10.0), rel=1e-12)
@@ -179,6 +200,11 @@ class TestTable1:
             table1_symmetric(10.0, 0.5, 0.0, Table1System.AF)
         with pytest.raises(ValueError):
             table1_symmetric(10.0, -0.5, 1.0, Table1System.AF)
+        # non-finite input is refused as Scenario refuses it
+        for bad in (math.nan, math.inf):
+            for args in ((bad, 0.5, 1.0), (10.0, 0.5, bad), (10.0, bad, 1.0)):
+                with pytest.raises(ValueError):
+                    table1_symmetric(*args, Table1System.AF)
         # zero rate: no outage, so the duration is undefined as in asym
         for system in Table1System:
             t = table1_symmetric(100.0, 0.0, 1.0, system)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from coopoutage import exact_metrics
 from coopoutage.cli import _OPTIONS, _flag, db_to_linear, load_config, main
 from coopoutage.exact_metrics import Protocol
 from coopoutage.numerics import ConvergenceError
@@ -186,6 +185,16 @@ class TestMetricsCommand:
         assert code == 0
         row = [ln for ln in out.splitlines() if ln.startswith("direct")][0]
         assert row.split()[1] == "0" and row.split()[3] == "nan"
+
+    def test_static_direct_link_with_moving_relay(self, capsys):
+        # --doppler 0,1,0: the S-D link is static, so DF and SR cross g0 only
+        # through the relay-to-destination link
+        code, out, _ = run_cli(["metrics", "--snr-db", "20", "--doppler", "0,1,0"], capsys)
+        assert code == 0
+        for row in out.splitlines()[2:]:
+            if row.split()[0] in ("df", "sr"):
+                p_out, aor, aod = (float(v) for v in row.split()[1:4])
+                assert aor > 0.0 and aod == pytest.approx(p_out / aor, rel=1e-8)
 
     def test_one_point_range_is_one_snr(self, capsys):
         by_range = run_cli(["metrics", "--snr-db-range", "10:10:1"], capsys)
@@ -424,7 +433,7 @@ def test_convergence_failure_is_usage_error(monkeypatch, capsys):
     def no_convergence(scenario, tol=1e-7):
         raise ConvergenceError("AF outage rate integral did not converge by order (96, 512): 1.0, 2.0", (1.0, 2.0))
 
-    monkeypatch.setitem(exact_metrics._EXACT, Protocol.AF.token, (exact_metrics.op_af, no_convergence))
+    monkeypatch.setattr(Protocol.AF, "aor", no_convergence)
     with pytest.raises(SystemExit) as info:
         main(WEAK_SD_MINUS_8DB)
     assert info.value.code == 2

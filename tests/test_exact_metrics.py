@@ -513,6 +513,14 @@ class TestAuxiliaryGainStatistics:
             (6.0, 0.5, 2.0, 3.0, 3.0003),  # |exponent argument| ~ 5e5
             (0.01, 5.0, 0.1, 7.0, 0.2),
             (10.0, 0.05, 5.0, 3.0, 3.0),  # equal derivative variances, wide gain gap
+            # static X link (sigma2_x = 0): U's rate comes from Z alone, on
+            # each of the three paths
+            (5.0, 0.3, 1.0, 0.0, 1.0),  # Dawson
+            (3.0, 2.0, 0.4, 0.0, 1.0),  # erfcx
+            (0.5, 1.0, 2.0, 0.0, 3.0),  # series
+            # static Z link (sigma2_z = 0): K(s w) at s w = +0.0 stays on
+            # K(w)'s erfcx branch
+            (3.0, 0.4, 2.0, 1.0, 0.0),
         ],
     )
     def test_lcr_u_extreme_parameters(self, case):
@@ -709,6 +717,16 @@ class TestSharedUTerms:
                 rate(sc)
         assert "_u_lcr" not in sc.__dict__
 
+    def test_static_direct_link_with_moving_relay(self):
+        # f_s = f_d = 0: the S-D link is static and U crosses g0 through Z only
+        sc = make_scenario(**{**self.ASYMMETRIC, "dopplers": (0.0, 1.0, 0.0)})
+        assert derive(sc)[0].sigma2_x == 0.0
+        for protocol in (Protocol.DF, Protocol.SR):
+            m = metrics(sc, protocol)
+            assert all(math.isfinite(v) for v in (m.p_out, m.aor, m.aod))
+            assert 0.0 < m.p_out < 1.0 and m.aor > 0.0
+            assert m.aod == m.p_out / m.aor
+
 
 class TestAsymmetricScenarioPins:
     """Frozen trace-oracle values for a fully asymmetric operating point.
@@ -768,8 +786,7 @@ class TestMetricsDispatch:
     )
     def test_subnormal_rate_raises_instead_of_infinite_duration(self, protocol, snr_db, r0, omegas, dopplers):
         sc = make_scenario(gamma0=10.0 ** (snr_db / 10.0), r0=r0, omegas=omegas, dopplers=dopplers)
-        op, rate = exact_metrics._EXACT[protocol.token]
-        assert 0.0 < rate(sc) < 1e-300 and op(sc) > 0.0
+        assert 0.0 < protocol.aor(sc) < 1e-300 and protocol.op(sc) > 0.0
         with pytest.raises(OverflowError, match=f"{protocol.value}: .* AOR"):
             metrics(sc, protocol)
 
