@@ -140,7 +140,8 @@ def table1_symmetric(gamma_bar: float, r0: float, f_m: float, system: Table1Syst
     uses the single-hop spectral efficiency (2^r0 - 1, full-time channel
     use); the cooperative rows use the half-duplex 2^(2 r0) - 1.  Each
     row is the power law of its member's (p, n) at level sqrt(rho),
-    rho = c/gamma_bar.  NaN and infinite arguments raise ValueError.
+    rho = c/gamma_bar.  NaN and infinite arguments raise ValueError, and
+    so does an r0 whose 2^(2 r0) overflows a float (r0 >= 512).
     """
     if not (math.isfinite(gamma_bar) and gamma_bar > 0.0):
         raise ValueError("gamma_bar must be finite and positive")
@@ -148,6 +149,10 @@ def table1_symmetric(gamma_bar: float, r0: float, f_m: float, system: Table1Syst
         raise ValueError("f_m must be finite and positive")
     if not (math.isfinite(r0) and r0 >= 0.0):
         raise ValueError("r0 must be finite and nonnegative")
+    # refused for every row, the direct one (2^r0) included, so that a
+    # table fails before it prints any row
+    if r0 >= 512.0:
+        raise ValueError(f"r0 = {r0:g} b/s/Hz is out of range: 2^(2 r0) overflows a float")
     c = 2.0 ** (r0 if system is Table1System.DIRECT else 2.0 * r0) - 1.0
     return _power_law(system.p, system.n * _SQRT_PI * f_m, math.sqrt(c / gamma_bar), system.diversity_gain)
 

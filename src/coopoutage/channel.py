@@ -89,8 +89,10 @@ class Scenario:
     """One operating point of the cooperative system.
 
     gamma0 is the transmit SNR (linear), r0 the target spectral efficiency
-    in b/s/Hz.  y0 is the relay-activation threshold of selection
-    relaying; None selects the usual choice y0 = g0.
+    in b/s/Hz; an r0 whose outage threshold g0^2 = (2^(2 r0) - 1)/gamma0
+    leaves the float range is refused with ValueError.  y0 is the
+    relay-activation threshold of selection relaying; None selects the
+    usual choice y0 = g0.
 
     ``derived`` is derive(self), computed once on first use and kept on the
     instance.  It is not a field, so equality, hashing, repr and
@@ -113,6 +115,12 @@ class Scenario:
             raise ValueError("gamma0 must be a finite positive linear SNR")
         if not (math.isfinite(self.r0) and self.r0 >= 0.0):
             raise ValueError("r0 must be finite and nonnegative")
+        # derive's g0^2 = (2^(2 r0) - 1)/gamma0; 2.0**x raises OverflowError from x = 1024
+        if self.r0 >= 512.0 or math.isinf((2.0 ** (2.0 * self.r0) - 1.0) / self.gamma0):
+            raise ValueError(
+                f"r0 = {self.r0:g} b/s/Hz at gamma0 = {self.gamma0:g} puts the outage threshold "
+                "(2^(2 r0) - 1)/gamma0 beyond the float range"
+            )
         if self.y0 is not None and not (math.isfinite(self.y0) and self.y0 > 0.0):
             raise ValueError("explicit y0 must be finite and strictly positive")
 

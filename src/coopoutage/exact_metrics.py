@@ -9,26 +9,30 @@ its downward level-crossing rate via Rice's formula, and the average outage
 duration (AOD) as OP / AOR.
 
 The AF expressions involve a one-dimensional integral (OP) and a
-two-dimensional integral (AOR), both Gauss-Legendre sums.  op_af is refined
-by numerics.refine (orders 16..1024 doubling, tol 1e-8).  aor_af splits its
-outer range into geometric panels and gives every outer node its own inner
-rule in ln t, over the window where the inner exponents stay within psi of
-their peak; a block is one outer panel, and numerics.refine_blocks raises
-the (outer, inner) orders ((8, 48), (12, 64), ... (96, 512)) only of the
-blocks whose error estimate still counts against tol (1e-7).  Neither runs
-a Gauss-Laguerre cross-check.  Direct, DF and SR are closed form with no
-quadrature: lcr_u, the crossing rate of sqrt(X^2 + Z^2) behind DF and SR,
-takes one of three closed paths (see its docstring), and it and
-prob_u_exceeds run once per Scenario (_u_lcr, _u_exceeds).
+two-dimensional integral (AOR), both Gauss-Legendre sums over the same
+outer quadrature: the relayed-path level a in [0, g0^2], split into the
+geometric panels of _outer_edges, with the nodes of _outer_nodes.  aor_af
+gives every outer node its own inner rule in ln t, over the window where
+the inner exponents stay within psi of their peak.  A block is one outer
+panel, and numerics.refine_blocks raises the (outer, inner) orders ((8,
+48), (12, 64), ... (96, 512)) only of the blocks whose error estimate
+still counts against tol (1e-8 for op_af, which reads only the outer
+orders; 1e-7 for aor_af).  Neither runs a Gauss-Laguerre cross-check.
+Direct, DF and SR are closed form with no quadrature: lcr_u, the crossing
+rate of sqrt(X^2 + Z^2) behind DF and SR, takes one of three closed paths
+(see its docstring), and it and prob_u_exceeds run once per Scenario
+(_u_lcr, _u_exceeds).
 
-op_af integrates over s = (g0^2 - a)/ox, so the outer density is e^-s on
-[0, min(g0^2/ox, psi)]; its relayed-path CDF is -expm1(-b) + e^-b(1 - x K1(x))
-with 1 - x K1(x) from its positive-term series for x < 1.8, so no node
-cancels, and the returned probability is clipped to [0, 1].  aor_af's
-outer panels are decades of a from 1e-10*min(g0^2, oy*oz/c1) (at deep
-outage the mass sits at a <~ oy*oz/c1, far below g0^2), with the top
-decade graded in g0^2 - a down to about ox and its last sliver mapped
-through a = g0^2 - span*u^2, which smooths the sqrt(g0^2 - a) endpoint.
+op_af takes each panel's share of the outer density e^-(g0^2 - a)/ox / ox
+in closed form and lets the panel's rule average the relayed-path CDF
+over it; the CDF is -expm1(-b) + e^-b(1 - x K1(x)) with 1 - x K1(x) from
+its positive-term series for x < 1.8, so no node cancels, and the
+returned probability is clipped to [0, 1].  The outer panels are decades
+of a from 1e-10*min(g0^2, oy*oz/c1) (at deep outage the rate's mass sits
+at a <~ oy*oz/c1, far below g0^2), with the top decade graded in g0^2 - a
+down to about ox and its last sliver mapped through a = g0^2 - span*u^2,
+which smooths the sqrt(g0^2 - a) endpoint of the rate and the width-ox
+peak of the outer density.
 The inner window of outer node a is |ln t - ln t*| <= arccosh(1 + psi/(2k)),
 with k = sqrt(a(a + c1)/(oy oz)) and t* = 1/(oy k): the two e^-psi cuts
 where they are far apart, a band around the merged peak t* at deep outage.
@@ -53,11 +57,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .channel import MobilityError, Scenario, rayleigh_lcr
-from .numerics import (
-    _legendre_base,
-    refine,
-    refine_blocks,
-)
+from .numerics import _TINY, _legendre_base, refine_blocks
 
 __all__ = [
     "Protocol",
@@ -142,6 +142,7 @@ _SERIES_K = np.arange(14)
 _SERIES_C = np.array([1.0 / (math.factorial(k) * math.factorial(k + 1)) for k in _SERIES_K])
 _HARMONIC = np.cumsum([0.0] + [1.0 / j for j in range(1, _SERIES_K.size + 1)])
 _SERIES_D = _HARMONIC[:-1] + _HARMONIC[1:] - 2.0 * np.euler_gamma
+_SERIES_CD_C = np.stack([_SERIES_C * _SERIES_D, _SERIES_C])
 
 
 def _one_minus_xk1(x: np.ndarray) -> np.ndarray:
@@ -151,8 +152,18 @@ def _one_minus_xk1(x: np.ndarray) -> np.ndarray:
     out[big] = 1.0 - x[big] * _sp.k1(x[big])
     h = 0.5 * x[~big]
     z = h * h
-    powers = np.power.outer(z, _SERIES_K)
-    out[~big] = z * (powers @ (_SERIES_C * _SERIES_D) - 2.0 * np.log(h) * (powers @ _SERIES_C))
+    # z^k for every k by doubling (rows [n, 2n) are rows [0, n) times z^n),
+    # cheaper than a float power per entry
+    powers = np.empty((_SERIES_K.size, z.size))
+    powers[0] = 1.0
+    powers[1] = z
+    n = 2
+    while n < _SERIES_K.size:
+        rows = powers[n : 2 * n]
+        np.multiply(powers[: len(rows)], powers[n // 2] * powers[n // 2], out=rows)
+        n *= 2
+    sums = _SERIES_CD_C @ powers
+    out[~big] = z * (sums[0] - 2.0 * np.log(h) * sums[1])
     return out
 
 
@@ -165,36 +176,6 @@ def _af_relayed_cdf(a, c1: float, oy: float, oz: float):
     """
     b = a * (1.0 / oy + 1.0 / oz)
     return -np.expm1(-b) + np.exp(-b) * _one_minus_xk1(2.0 * np.sqrt(a * (a + c1) / (oy * oz)))
-
-
-def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
-    """Outage probability of variable-gain AF relaying.
-
-    A single integral over the relayed-path power level a in [0, g0^2],
-    with the outer density folded in by a = g0^2 - ox*s: the integrand is
-    e^-s times the relayed-path CDF, over s in [0, min(g0^2/ox, psi)].
-    Gauss-Legendre order doubling (16..1024) runs until successive
-    estimates agree to tol.  The result is clipped to [0, 1]: rounding in
-    the sum can push it past 1 at deep outage.
-    """
-    g = scenario.gains
-    _, th = scenario.derived
-    g0sq = th.g0**2
-    if g0sq == 0.0:
-        return 0.0
-    ox = g.omega_x
-
-    def f(s):
-        return np.exp(-s) * _af_relayed_cdf(g0sq - ox * s, th.c1, g.omega_y, g.omega_z)
-
-    half = 0.5 * min(g0sq / ox, _PSI)
-
-    def estimate(m: int) -> float:
-        x, w = _legendre_base(m)
-        return half * float(w @ f(half * (x + 1.0)))
-
-    p_out = refine(estimate, [16 << k for k in range(7)], tol, "AF outage probability integral")
-    return min(max(p_out, 0.0), 1.0)
 
 
 def _decade_edges(lo: float, hi: float) -> list[float]:
@@ -256,6 +237,73 @@ def _af_rate_rules(orders: tuple) -> tuple:
     for arr in (xo, wo, xi, *wi):
         arr.setflags(write=False)
     return xo, wo, xi, tuple(wi)
+
+
+def _outer_nodes(a_edges: np.ndarray, idx: np.ndarray, xo: np.ndarray, wo: np.ndarray):
+    """Outer nodes a and weights of the AF panels idx, shape (blocks, M, 1).
+
+    xo and wo are the outer columns of _af_rate_rules (Legendre nodes plus
+    1, and weights).  Each panel of a_edges takes its own affine copy of
+    the rule, except the top one, [g0^2 - span, g0^2], which is mapped
+    through a = g0^2 - span*u^2 (weight factor 2u): both AF integrands
+    carry sqrt(g0^2 - a) or a width-ox peak there, smooth in u.  idx is
+    increasing, so the top panel comes last when idx holds it.
+    """
+    left = a_edges[idx, None, None]
+    hw = 0.5 * (a_edges[idx + 1, None, None] - left)
+    a = left + hw * xo
+    wa = hw * wo
+    if idx[-1] == a_edges.size - 2:
+        span = a_edges[-1] - a_edges[-2]
+        u = 0.5 * xo
+        a[-1] = a_edges[-1] - span * u * u
+        wa[-1] = wo * span * u
+    return a, wa
+
+
+def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
+    """Outage probability of variable-gain AF relaying.
+
+    A single integral over the relayed-path power level a in [0, g0^2] of
+    the outer density e^-(g0^2 - a)/ox / ox times the relayed-path CDF, on
+    aor_af's outer quadrature: the panels of _outer_edges, the outer
+    nodes of _outer_nodes at the outer orders of _AF_RATE_ORDERS, and
+    numerics.refine_blocks raising each panel's order while its error
+    estimate still counts against tol.  A panel's share of the outer
+    density is taken in closed form, e^-(g0^2 - a_hi)/ox (1 - e^-(a_hi -
+    a_lo)/ox), and its rule, with weights w e^-(a_hi - a)/ox, averages only
+    the CDF over it, normalised by the sum of those weights.  Where the CDF
+    is 1 at every node that average is exactly 1.  The result is clipped to
+    [0, 1]: rounding in the sum can push it past 1 at deep outage.
+    """
+    g = scenario.gains
+    _, th = scenario.derived
+    g0sq = th.g0**2
+    if g0sq == 0.0:
+        return 0.0
+    ox, oy, oz = g.omega_x, g.omega_y, g.omega_z
+    c1 = th.c1
+    a_edges = _outer_edges(g0sq, ox, oy * oz / c1)
+    a_hi = a_edges[1:]
+    share = np.exp((a_hi - g0sq) / ox) * -np.expm1((a_edges[:-1] - a_hi) / ox)
+
+    def values(orders, idx: np.ndarray) -> list:
+        xo, wo, _, _ = _af_rate_rules(orders)
+        a, wa = _outer_nodes(a_edges, idx, xo, wo)
+        a, wa = a[..., 0], wa[..., 0]
+        wa *= np.exp((a - a_hi[idx, None]) / ox)
+        # each order's rows of the stacked rule, summed per panel; weights
+        # relative to the panel's top underflow only in panels far (~700 ox)
+        # below g0^2, whose share is 0 as well
+        starts = [0]
+        for m, _ in orders[:-1]:
+            starts.append(starts[-1] + m)
+        cdf = np.add.reduceat(wa * _af_relayed_cdf(a, c1, oy, oz), starts, axis=1)
+        mean = cdf / np.maximum(np.add.reduceat(wa, starts, axis=1), _TINY)
+        return list((share[idx, None] * mean).T)
+
+    p_out = refine_blocks(values, a_edges.size - 1, _AF_RATE_ORDERS, tol, "AF outage probability integral")
+    return min(max(p_out, 0.0), 1.0)
 
 
 def _af_rate_quartic(a, g0sq, c1, s2x, s2y, s2z, oy, oz):
@@ -367,21 +415,10 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     c1 = th.c1
     args = (g0sq, c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oy, oz)
     a_edges = _outer_edges(g0sq, ox, oy * oz / c1)
-    top = a_edges.size - 2
-    span = a_edges[-1] - a_edges[-2]
 
     def values(orders, idx: np.ndarray) -> list:
         xo, wo, xi, wi = _af_rate_rules(orders)
-        # outer nodes of the panels idx, shape (blocks, M, 1); the top panel
-        # comes last when idx holds it
-        left = a_edges[idx, None, None]
-        hw = 0.5 * (a_edges[idx + 1, None, None] - left)
-        a = left + hw * xo
-        wa = hw * wo
-        if idx[-1] == top:
-            u = 0.5 * xo
-            a[-1] = a_edges[-1] - span * u * u
-            wa[-1] = wo * span * u
+        a, wa = _outer_nodes(a_edges, idx, xo, wo)
         wa *= np.exp(-(g0sq - a) / ox - a * (1.0 / oy + 1.0 / oz))
         k, q = _af_rate_quartic(a, *args)
         half = np.arccosh(1.0 + 0.5 * _PSI / k)

@@ -8,16 +8,13 @@ to 1.2e-9 relative off there.  Gauss-Laguerre rules (gauss_laguerre)
 come from numpy's laggauss (Golub-Welsch); no metric uses one, they
 serve integrate_semi_infinite's consistency check and the tests.
 
-Every quadrature order loop in the package lives here: `refine` raises
-the order of a whole integral (integrate_semi_infinite: order0 doubled up
-to max_order, 64..1024 by default; exact_metrics.op_af), `refine_blocks`
-that of each block of a split integral separately (exact_metrics.aor_af),
-each caller with its own order schedule and tolerance.  `refine` keeps its
-own loop rather than running a one-block refine_blocks: on a 2-vCPU VM its
-3-order refine costs about 2 us against 40 us through refine_blocks' array
-bookkeeping, where a whole op_af call takes 50-120 us.  refine_blocks asks
-for its two opening orders in one call, so aor_af evaluates them on one
-grid.
+The package's one quadrature order loop lives here: `refine_blocks`
+raises the order of each block of a split integral separately
+(exact_metrics.op_af and aor_af, one block per outer panel, on the same
+(outer, inner) order schedule), and `refine` is refine_blocks over one
+block, for a whole integral (integrate_semi_infinite: order0 doubled up
+to max_order, 64..1024 by default).  refine_blocks asks for its two
+opening orders in one call, so aor_af evaluates them on one grid.
 
 bessel_k0, bessel_k1, erfc and upper_inc_gamma_3_2 are checked wrappers
 over scipy.special (domain errors, saturation to 0 with UnderflowWarning)
@@ -54,6 +51,9 @@ __all__ = [
 
 # exp(-z) underflows to zero (in double precision) past this point
 _K_UNDERFLOW_Z = 705.0
+
+# smallest normal double: the floor of a relative error budget
+_TINY = np.finfo(float).tiny
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 120
@@ -206,16 +206,12 @@ def integrate_gauss(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule)
 def refine(estimate: Callable[[int], float], orders: Iterable[int], tol: float, what: str) -> float:
     """Return the first estimate(m) along orders that agrees with the previous one to tol.
 
-    Orders after the agreeing one are not evaluated.  If the orders run out,
-    raises ConvergenceError carrying the last two estimates (None in place
-    of the first when the schedule has a single order).
+    refine_blocks over one block, so orders needs at least two entries:
+    orders after the agreeing one are not evaluated, and when the orders
+    run out, or an estimate is not finite, ConvergenceError carries the
+    last two estimates.
     """
-    prev = cur = None
-    for m in orders:
-        prev, cur = cur, estimate(m)
-        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), np.finfo(float).tiny):
-            return cur
-    raise ConvergenceError(f"{what} did not converge by order {m}: {prev!r}, {cur!r}", (prev, cur))
+    return refine_blocks(lambda ms, idx: [np.array([estimate(m)]) for m in ms], 1, orders, tol, what)
 
 
 def refine_blocks(
@@ -237,19 +233,25 @@ def refine_blocks(
     the errors left behind fit half of that budget; each later round calls
     values once per target order, with that one entry.  Returns the total
     of the latest block values.  If a block that must move is already at
-    the last order, raises ConvergenceError carrying the last two totals.
+    the last order, or a block value is not finite, raises
+    ConvergenceError carrying the last two totals.
     """
     orders = tuple(orders)
     if len(orders) < 2:
         raise ValueError("refine_blocks needs at least two orders")
-    level = np.ones(n_blocks, dtype=int)
     lo, hi = values(orders[:2], np.arange(n_blocks))
-    prev, cur = float(np.sum(lo)), float(np.sum(hi))
+    prev, cur = float(lo.sum()), float(hi.sum())
+    level = None
     while True:
+        # a NaN total would fit no budget and move no block
+        if not (math.isfinite(prev) and math.isfinite(cur)):
+            raise ConvergenceError(f"{what} has a non-finite block value: {prev!r}, {cur!r}", (prev, cur))
         err = np.abs(hi - lo)
-        budget = tol * max(abs(cur), np.finfo(float).tiny)
-        if np.sum(err) <= budget:
+        budget = tol * max(abs(cur), _TINY)
+        if err.sum() <= budget:
             return cur
+        if level is None:
+            level = np.ones(n_blocks, dtype=int)
         # the smallest errors whose sum fits budget / 2 stay; the rest move on
         by_err = np.argsort(err)
         n_stay = np.searchsorted(np.cumsum(err[by_err]), 0.5 * budget, side="right")
@@ -263,7 +265,7 @@ def refine_blocks(
             lo[idx] = hi[idx]
             hi[idx] = values(orders[lev + 1 : lev + 2], idx)[0]
             level[idx] += 1
-        prev, cur = cur, float(np.sum(hi))
+        prev, cur = cur, float(hi.sum())
 
 
 def integrate_semi_infinite(
@@ -290,7 +292,8 @@ def integrate_semi_infinite(
     Gauss-Laguerre is a poor monitor.
 
     Raises ConvergenceError (carrying the last two estimates) if the order
-    cap is reached without convergence.
+    cap is reached without convergence, and ValueError if order0 is not
+    below max_order (a single order gives no error estimate).
     """
     orders = [order0]
     while orders[-1] < max_order:
@@ -302,7 +305,7 @@ def integrate_semi_infinite(
         rule = gauss_laguerre(64)
         # w_i e^{x_i} stays finite in double precision for order <= 128
         lag = float(np.sum(rule.weights * np.exp(rule.nodes) * f(rule.nodes)))
-        if abs(lag - cur) > 10.0 * tol * max(abs(cur), np.finfo(float).tiny):
+        if abs(lag - cur) > 10.0 * tol * max(abs(cur), _TINY):
             msg = f"Gauss-Laguerre check ({lag:.6e}) disagrees with the integral {cur:.6e}"
             warnings.warn(msg, LaguerreDisagreement, stacklevel=2)
     return cur

@@ -205,6 +205,11 @@ class TestTable1:
             for args in ((bad, 0.5, 1.0), (10.0, 0.5, bad), (10.0, bad, 1.0)):
                 with pytest.raises(ValueError):
                     table1_symmetric(*args, Table1System.AF)
+        # an r0 whose 2^(2 r0) overflows is refused for every row, the
+        # direct one (2^r0) included
+        for system in Table1System:
+            with pytest.raises(ValueError, match="r0 = 600"):
+                table1_symmetric(100.0, 600.0, 1.0, system)
         # zero rate: no outage, so the duration is undefined as in asym
         for system in Table1System:
             t = table1_symmetric(100.0, 0.0, 1.0, system)

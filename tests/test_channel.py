@@ -139,6 +139,14 @@ class TestValidation:
             with pytest.raises(ValueError):
                 NodeDopplers(1.0, 1.0, bad)
 
+    def test_rejects_r0_whose_threshold_overflows(self):
+        # 2^(2 r0) overflows a float from r0 = 512 on, and (2^(2 r0) - 1)/gamma0
+        # can overflow below that at a small SNR
+        for gamma0, r0 in ((100.0, 600.0), (100.0, 512.0), (1e-3, 511.5)):
+            with pytest.raises(ValueError, match="r0 = "):
+                make_scenario(gamma0=gamma0, r0=r0)
+        assert math.isfinite(make_scenario(gamma0=100.0, r0=511.5).derived[1].g0)
+
     def test_all_static_allowed_at_construction(self):
         sc = make_scenario(dopplers=(0.0, 0.0, 0.0))
         assert sc.dopplers.all_static

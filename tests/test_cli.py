@@ -420,6 +420,23 @@ def test_duration_overflow_is_usage_error(capsys):
     assert "df: outage duration OP/AOR overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metrics", "--snr-db", "20", "--rate", "600", "--protocols", "df"],
+        ["table1", "--snr-db", "20", "--rate", "600"],
+    ],
+)
+def test_rate_overflow_names_r0(argv, capsys):
+    # 2^(2 r0) overflows a float; table1 must not print any row first
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "r0 = 600" in captured.err
+
+
 def test_snr_overflow_names_the_snr():
     with pytest.raises(ValueError, match="4000 dB"):
         db_to_linear(4000.0)
@@ -439,6 +456,23 @@ def test_convergence_failure_is_usage_error(monkeypatch, capsys):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "AF outage rate integral did not converge" in err
+
+
+@pytest.mark.parametrize(
+    "argv, p_out",
+    [
+        # ox far above the relayed-path scale, whose CDF rises in a 1e-4
+        # sliver of the outer range (QUADPACK: 0.25917553983)
+        (["--snr-db", "-10", "--rate", "1", "--omega", "100,0.01,1"], "0.25917554"),
+        # QUADPACK: 0.66864285346
+        (["--snr-db", "-11.9", "--rate", "0.156", "--omega", "3.385,0.3852,0.0143"], "0.668642853"),
+    ],
+)
+def test_af_outage_probability_on_outer_panels(argv, p_out, capsys):
+    code, out, _ = run_cli(["metrics", *argv, "--protocols", "af"], capsys)
+    assert code == 0
+    row = [ln for ln in out.splitlines() if ln.startswith("af")][0]
+    assert row.split()[1] == p_out
 
 
 def test_deep_outage_af_rate_converges(capsys):

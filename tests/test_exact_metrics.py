@@ -255,6 +255,37 @@ class TestAfOutageProbability:
         # -30 dB, r0 = 8: the outer density is a width-1 peak at a = g0^2 ~ 6.6e7
         assert op_af(Scenario(1e-3, 8.0, gains=LinkGains(1.0, 0.01, 0.01))) == 1.0
 
+    # op_af by adaptive QUADPACK over the relayed-path level a (epsrel
+    # 1e-13, geometric breakpoints toward a = 0 and a = g0^2), keyed by
+    # (SNR dB, r0, (ox, oy, oz)): the 11 declared-grid points and five
+    # random-domain points where ox is far above the relayed-path scale,
+    # so the relayed-path CDF rises within a sliver of the outer range,
+    # which one Legendre rule over the whole range misses
+    OP_AF_QUADPACK = {
+        (-30.0, 0.1, (100.0, 0.01, 1.0)): 7.7394647019e-01,
+        (-30.0, 0.1, (100.0, 0.01, 100.0)): 7.7394458561e-01,
+        (-30.0, 0.1, (100.0, 1.0, 0.01)): 7.7394647019e-01,
+        (-30.0, 0.1, (100.0, 1.0, 1.0)): 7.7394424116e-01,
+        (-30.0, 0.1, (100.0, 100.0, 0.01)): 7.7394458561e-01,
+        (-10.0, 0.1, (1.0, 0.01, 0.01)): 7.7394424116e-01,
+        (-10.0, 0.1, (100.0, 0.01, 0.01)): 1.4759727316e-02,
+        (-10.0, 1.0, (100.0, 0.01, 0.01)): 2.5918170553e-01,
+        (-10.0, 1.0, (100.0, 0.01, 1.0)): 2.5917553983e-01,
+        (-10.0, 1.0, (100.0, 1.0, 0.01)): 2.5917553983e-01,
+        (30.0, 8.0, (100.0, 0.01, 0.01)): 4.8072319749e-01,
+        (-11.933811068957645, 0.1559231495059145, (3.3849920294542857, 0.3852287181439077, 0.014252278551283689)): 6.7129216862e-01,
+        (-4.079904094418367, 1.447306597321933, (15.196746816117223, 0.018517215510040062, 0.2655837963879259)): 6.6160359123e-01,
+        (-6.4878142246866375, 0.7144000359616033, (4.203947466938251, 0.053211627810189906, 0.0621519132157302)): 8.3351368742e-01,
+        (-8.224904728709063, 0.2888326797309668, (55.00473780952675, 0.0285665403414873, 0.03653499372800564)): 5.7751478004e-02,
+        (3.1959360063256383, 1.4431043189584656, (9.02208844819146, 0.012154644779619065, 0.014042780020833995)): 2.8783783053e-01,
+    }
+
+    @pytest.mark.parametrize("key", list(OP_AF_QUADPACK))
+    def test_matches_quadpack(self, key):
+        db, r0, omegas = key
+        got = op_af(make_scenario(gamma0=10.0 ** (db / 10.0), r0=r0, omegas=omegas))
+        assert got == pytest.approx(self.OP_AF_QUADPACK[key], rel=1e-9, abs=0.0)
+
     def test_nonincreasing_in_each_gain(self):
         for slot in range(3):
             prev = None
