@@ -99,7 +99,10 @@ class Scenario:
     dataclasses.replace ignore it, and a replaced scenario derives afresh.
     The two terms DF and SR share, Pr{U > g0} and the crossing rate of
     U = sqrt(X^2 + Z^2) at g0, are kept on the instance the same way, by
-    exact_metrics._u_exceeds and _u_lcr, each filled on first use.
+    exact_metrics._u_exceeds and _u_lcr, each filled on first use.  So are
+    the Monte Carlo link envelopes of mc_sim.validate (mc_sim._cached_link),
+    per (realization, link) under one TraceConfig, replaced when a call
+    brings another.
     """
 
     gamma0: float

@@ -192,22 +192,35 @@ def _decade_edges(lo: float, hi: float) -> list[float]:
     return [lo * ratio ** (i / n_pan) for i in range(n_pan)] + [hi]
 
 
-def _outer_edges(g0sq: float, ox: float, a_knee: float) -> np.ndarray:
-    """aor_af's outer panel edges: decades of a, the top one graded in g0^2 - a.
+def _outer_edges(scenario: Scenario) -> np.ndarray:
+    """The AF outer panel edges: decades of a, the top one graded in g0^2 - a.
 
     Geometric panels, one per decade, run from a = 1e-10*min(g0^2, a_knee)
     up to the top decade [g0^2 - span, g0^2]; the head below, where the
-    integrand grows at most like log(1/a), is dropped.  aor_af passes
-    a_knee = oy*oz/c1: with c1 >> a the inner peak is about
-    exp(-2*sqrt(a*c1/(oy*oz))), so at deep outage (a_knee << g0^2) the
-    mass sits at a <~ a_knee, which a head cut at 1e-10*g0^2 would
-    truncate.  The top decade is cut again, one panel per decade of
-    d = g0^2 - a, down to d = min(ox, span/10): with ox << g0^2 the outer
-    weight is a width-ox peak at a = g0^2, and the sqrt(d) of the rate's
-    variance is least smooth near d = 0 whatever ox is.  The last panel,
-    d in [0, min(ox, span/10)], is the one aor_af maps quadratically.
+    integrand grows at most like log(1/a), is dropped.  a_knee = oy*oz/c1:
+    with c1 >> a the inner peak is about exp(-2*sqrt(a*c1/(oy*oz))), so at
+    deep outage (a_knee << g0^2) the mass sits at a <~ a_knee, which a head
+    cut at 1e-10*g0^2 would truncate.  The top decade is cut again, one
+    panel per decade of d = g0^2 - a, down to d = min(ox, span/10): with
+    ox << g0^2 the outer weight is a width-ox peak at a = g0^2, and the
+    sqrt(d) of the rate's variance is least smooth near d = 0 whatever ox
+    is.  The last panel, d in [0, min(ox, span/10)], is the one aor_af
+    maps quadratically.
+
+    Where the head cut underflows to 0, or g0^2 over it or over ox
+    overflows, there is no finite count of decades: ValueError names r0
+    and gamma0 before any panel is built.
     """
-    edges = _decade_edges(1e-10 * min(g0sq, a_knee), g0sq)
+    g = scenario.gains
+    _, th = scenario.derived
+    g0sq, ox = th.g0**2, g.omega_x
+    lo = 1e-10 * min(g0sq, g.omega_y * g.omega_z / th.c1)
+    if not (lo > 0.0 and g0sq / lo < math.inf and g0sq / ox < math.inf):
+        raise ValueError(
+            f"r0 = {scenario.r0:g} b/s/Hz at gamma0 = {scenario.gamma0:g} puts the AF outage threshold "
+            f"g0^2 = {g0sq:g} outside the float range of its quadrature panels"
+        )
+    edges = _decade_edges(lo, g0sq)
     span = g0sq - edges[-2]
     d = _decade_edges(min(ox, 0.1 * span), span)
     return np.array(edges[:-1] + [g0sq - di for di in d[-2::-1]] + [g0sq])
@@ -283,7 +296,7 @@ def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
         return 0.0
     ox, oy, oz = g.omega_x, g.omega_y, g.omega_z
     c1 = th.c1
-    a_edges = _outer_edges(g0sq, ox, oy * oz / c1)
+    a_edges = _outer_edges(scenario)
     a_hi = a_edges[1:]
     share = np.exp((a_hi - g0sq) / ox) * -np.expm1((a_edges[:-1] - a_hi) / ox)
 
@@ -414,7 +427,7 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     ox, oy, oz = g.omega_x, g.omega_y, g.omega_z
     c1 = th.c1
     args = (g0sq, c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oy, oz)
-    a_edges = _outer_edges(g0sq, ox, oy * oz / c1)
+    a_edges = _outer_edges(scenario)
 
     def values(orders, idx: np.ndarray) -> list:
         xo, wo, xi, wi = _af_rate_rules(orders)

@@ -21,6 +21,13 @@ same split of its row index.  Every entry is a product of two or three
 phasors computed directly from the sample index, never by repeated
 phasor multiplication, so rounding error stays at the level of a few
 phase evaluations wherever the sample sits in the trace.
+
+The traces depend on the gains, the Dopplers and the TraceConfig, not on
+the protocol or the SNR.  validate therefore draws each (realization,
+link) envelope once per Scenario instance and keeps it on the instance
+(_cached_link), so validating every protocol of one scenario composes the
+same samples: common random numbers across protocols, with every value
+bit-identical to a fresh draw.  gen_link_traces draws afresh on each call.
 """
 
 import struct
@@ -245,9 +252,35 @@ def _link_trace(scenario: Scenario, cfg: TraceConfig, dt: float, realization: in
 def gen_link_traces(
     scenario: Scenario, cfg: TraceConfig, realization: int = 0
 ) -> tuple[FadingTrace, FadingTrace, FadingTrace]:
-    """The three link envelopes (S->D, S->R, R->D) on a common time base."""
+    """The three link envelopes (S->D, S->R, R->D) on a common time base.
+
+    Draws them afresh on every call; validate reads the same samples from
+    the scenario's trace cache (_cached_link).
+    """
     dt = scenario_dt(scenario, cfg)
     return tuple(_link_trace(scenario, cfg, dt, realization, link) for link in range(3))
+
+
+def _cached_link(scenario: Scenario, cfg: TraceConfig, dt: float, realization: int, link: int) -> np.ndarray:
+    """Samples of _link_trace(scenario, cfg, dt, realization, link), drawn once per Scenario.
+
+    Kept in the instance __dict__ under "_traces" as (cfg, {(realization,
+    link): samples}), like exact_metrics._u_exceeds: not a field, so
+    equality, hashing, repr and dataclasses.replace ignore it.  A different
+    cfg replaces the whole set, so a scenario holds at most one.  The
+    samples are read-only, since every protocol composes the same arrays.
+    """
+    terms = scenario.__dict__
+    traces = terms.get("_traces")
+    if traces is None or traces[0] != cfg:
+        traces = terms["_traces"] = (cfg, {})
+    store = traces[1]
+    samples = store.get((realization, link))
+    if samples is None:
+        samples = _link_trace(scenario, cfg, dt, realization, link).samples
+        samples.setflags(write=False)
+        store[realization, link] = samples
+    return samples
 
 
 def equivalent_gain(protocol: Protocol, x, y, z, thresholds: Thresholds):
@@ -265,14 +298,16 @@ def equivalent_gain(protocol: Protocol, x, y, z, thresholds: Thresholds):
     if protocol is Protocol.DIRECT:
         return x.copy()
     if protocol is Protocol.AF:
-        # sqrt(x*x + y2*z2 / (y2 + z2 + c1)) with its temporaries reused
+        # sqrt(x*x + y2*z2 / (y2 + z2 + c1)) in three buffers: x*x goes into
+        # den once den is spent, where their shapes agree (a 0-d den is a
+        # numpy scalar, no buffer)
         y2 = y * y
         z2 = z * z
         den = y2 + z2
         den += thresholds.c1
         y2 *= z2
         y2 /= den
-        g = x * x
+        g = np.multiply(x, x, out=den if den.ndim and den.shape == x.shape else None)
         g += y2
         return np.sqrt(g, out=g) if g.ndim else np.sqrt(g)
     if protocol is Protocol.DF:
@@ -420,13 +455,18 @@ def validate(
 ) -> ValidationReport:
     """Simulate the protocol and compare empirical metrics with the exact ones.
 
-    Generates n_realizations independent triples of link traces, composes
+    Reads n_realizations independent triples of link traces, composes
     the equivalent gain, merges crossing statistics, and reports relative
-    deviations against the analytical values.  Direct transmission draws
-    only the S->D trace (its equivalent gain), the same samples as the x of
-    gen_link_traces, so it needs no moving relay.  zero_c1 drops the AF relay
-    gain constant to its high-SNR limit (the trace side only), which checks
-    the idealised relayed-path composition.
+    deviations against the analytical values.  Each (realization, link)
+    envelope is drawn on first use and kept on the scenario for later
+    calls under the same cfg (_cached_link), so every protocol of one
+    scenario composes the same samples as gen_link_traces would draw.
+    Direct transmission reads only the S->D trace (its equivalent gain), so
+    it needs no moving relay; AF, DF and SR add the S->R and R->D traces.
+    The kept traces cost 3 * n_realizations * n_samples float64 until the
+    scenario is dropped or validated under another cfg.  zero_c1 drops the
+    AF relay gain constant to its high-SNR limit (the trace side only),
+    which checks the idealised relayed-path composition.
     """
     exact = metrics(scenario, protocol)
     _, th = scenario.derived
@@ -435,11 +475,11 @@ def validate(
     counts = CrossingCounts()
     for r in range(cfg.n_realizations):
         if protocol is Protocol.DIRECT:
-            g = _link_trace(scenario, cfg, dt, r, 0)
+            g = _cached_link(scenario, cfg, dt, r, 0)
         else:
-            x, y, z = gen_link_traces(scenario, cfg, realization=r)
-            g = FadingTrace(dt, equivalent_gain(protocol, x.samples, y.samples, z.samples, th_mc))
-        counts = counts.merge(CrossingCounts.from_trace(g, protocol.level(th)))
+            x, y, z = (_cached_link(scenario, cfg, dt, r, link) for link in range(3))
+            g = equivalent_gain(protocol, x, y, z, th_mc)
+        counts = counts.merge(CrossingCounts.from_trace(FadingTrace(dt, g), protocol.level(th)))
     emp = EmpiricalMetrics.from_counts(counts)
 
     def entry(name, ex, est, tol):

@@ -205,6 +205,13 @@ class TestMetricsCommand:
             main(["metrics"])
         assert info.value.code == 2
 
+    def test_af_threshold_beyond_panel_range_is_usage_error(self, capsys):
+        # g0^2 ~ 1e301: direct, DF and SR give OP 1, AF has no finite panel count
+        with pytest.raises(SystemExit) as info:
+            main(["metrics", "--snr-db", "0", "--rate", "500", "--protocols", "af"])
+        assert info.value.code == 2
+        assert "r0 = 500 b/s/Hz at gamma0 = 1 " in capsys.readouterr().err
+
     def test_mc_columns(self, capsys):
         code, out, _ = run_cli(
             [
@@ -322,6 +329,24 @@ class TestValidateCommand:
         )
         assert code == 1
         assert "FAIL" in out
+
+
+    def test_static_relay_fails_after_the_direct_lines(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "validate",
+                    "--snr-db", "10",
+                    "--samples", "65536",
+                    "--realizations", "2",
+                    "--doppler", "0,0,1",
+                    "--protocols", "direct,af",
+                ]
+            )
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert [ln.split()[0] for ln in captured.out.splitlines()[1:]] == ["direct"] * 3
+        assert "Dopplers are zero" in captured.err
 
 
 class TestSlopeCommand:

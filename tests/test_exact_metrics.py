@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -820,6 +821,26 @@ class TestMetricsDispatch:
         assert 0.0 < protocol.aor(sc) < 1e-300 and protocol.op(sc) > 0.0
         with pytest.raises(OverflowError, match=f"{protocol.value}: .* AOR"):
             metrics(sc, protocol)
+
+    @pytest.mark.parametrize("fn", [op_af, aor_af])
+    @pytest.mark.parametrize(
+        "gamma0, r0",
+        [
+            (1.0, 500.0),  # g0^2 = 2^1000 - 1: g0^2 over the head cut overflows
+            (1e308, 1e-10),  # g0^2 ~ 1.4e-318: the head cut underflows to 0
+        ],
+    )
+    def test_af_threshold_beyond_panel_range_raises_value_error(self, fn, gamma0, r0, monkeypatch):
+        def no_panels(lo, hi):
+            raise AssertionError("panels built before the range check")
+
+        monkeypatch.setattr(exact_metrics, "_decade_edges", no_panels)
+        with pytest.raises(ValueError, match=re.escape(f"r0 = {r0:g} b/s/Hz at gamma0 = {gamma0:g} ")):
+            fn(Scenario(gamma0, r0))
+
+    @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.DF, Protocol.SR])
+    def test_closed_forms_at_af_panel_range_limit(self, protocol):
+        assert metrics(Scenario(1.0, 500.0), protocol) == exact_metrics.OutageMetrics(1.0, 0.0, None)
 
     def test_block_durations_at_20db(self):
         # mean outage durations in coding blocks at f_m T = 1e-3

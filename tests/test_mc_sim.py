@@ -1,5 +1,6 @@
 """Trace generation statistics, empirical estimators, and the validation loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -351,6 +352,77 @@ class TestValidate:
         u = FadingTrace(x.dt, np.hypot(x.samples, z.samples))
         expected = lcr_u(th.g0, 1.0, 1.0, ld.sigma2_x, ld.sigma2_z)
         assert estimate(u, th.g0).aor == pytest.approx(expected, rel=0.05)
+
+
+class TestTraceReuse:
+    """validate draws each (realization, link) envelope once per Scenario instance."""
+
+    CFG = TraceConfig(n_samples=65_536, seed=5, n_realizations=2)
+
+    @staticmethod
+    def scenario(dopplers=(1.0, 0.3, 0.7)):
+        return Scenario(gamma0=10.0, r0=0.5, gains=LinkGains(1.0, 2.0, 0.5), dopplers=NodeDopplers(*dopplers))
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        original = mc_sim.gen_complex_gain
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mc_sim, "gen_complex_gain", counting)
+        return calls
+
+    def test_all_protocols_draw_each_link_once(self, draws):
+        sc = self.scenario()
+        for protocol in Protocol:
+            validate(sc, protocol, self.CFG)
+        # 3 links x 2 realizations; drawing per call would take 2 + 3 * 6 = 20
+        assert len(draws) == 6
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_shared_scenario_matches_fresh_copy(self, protocol):
+        sc = self.scenario()
+        for other in Protocol:  # fill the cache from every protocol first
+            validate(sc, other, self.CFG)
+        fresh = dataclasses.replace(sc)
+        assert validate(sc, protocol, self.CFG).empirical == validate(fresh, protocol, self.CFG).empirical
+
+    def test_cache_is_not_part_of_the_value(self):
+        sc = self.scenario()
+        before = (hash(sc), repr(sc))
+        validate(sc, Protocol.AF, self.CFG)
+        assert "_traces" in sc.__dict__
+        assert sc == self.scenario() and (hash(sc), repr(sc)) == before
+        assert "_traces" not in dataclasses.replace(sc).__dict__
+
+    def test_second_config_replaces_the_cache(self):
+        sc = self.scenario()
+        validate(sc, Protocol.AF, self.CFG)
+        other = dataclasses.replace(self.CFG, seed=6)
+        validate(sc, Protocol.AF, other)
+        cfg, store = sc.__dict__["_traces"]
+        assert cfg == other and len(store) == 3 * other.n_realizations
+
+    def test_cached_samples_are_read_only(self):
+        sc = self.scenario()
+        validate(sc, Protocol.AF, self.CFG)
+        _, store = sc.__dict__["_traces"]
+        for samples in store.values():
+            assert not samples.flags.writeable
+            with pytest.raises(ValueError):
+                samples[0] = 0.0
+
+    def test_static_relay_keeps_the_direct_traces(self, draws):
+        # --doppler 0,0,1: AF fails on the static S-R link after direct filled link 0
+        sc = self.scenario(dopplers=(0.0, 0.0, 1.0))
+        first = validate(sc, Protocol.DIRECT, self.CFG)
+        with pytest.raises(StaticLinkError):
+            validate(sc, Protocol.AF, self.CFG)
+        assert validate(sc, Protocol.DIRECT, self.CFG) == first
+        assert len(draws) == self.CFG.n_realizations
 
 
 class TestTraceFile:
