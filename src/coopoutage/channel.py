@@ -9,12 +9,14 @@ from the two terminal Dopplers of that link.
 
 derive(scenario) turns an operating point into those link quantities and
 the outage thresholds.  A Scenario derives itself once, on first use of
-its ``derived`` attribute, and every metric reads that cached value.
+its ``derived`` attribute, and every metric reads that cached value.  A
+function decorated with scenario_term is a further per-operating-point
+term: computed once per Scenario instance and kept on it the same way.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 __all__ = [
     "MobilityError",
@@ -97,12 +99,8 @@ class Scenario:
     ``derived`` is derive(self), computed once on first use and kept on the
     instance.  It is not a field, so equality, hashing, repr and
     dataclasses.replace ignore it, and a replaced scenario derives afresh.
-    The two terms DF and SR share, Pr{U > g0} and the crossing rate of
-    U = sqrt(X^2 + Z^2) at g0, are kept on the instance the same way, by
-    exact_metrics._u_exceeds and _u_lcr, each filled on first use.  So are
-    the Monte Carlo link envelopes of mc_sim.validate (mc_sim._cached_link),
-    per (realization, link) under one TraceConfig, replaced when a call
-    brings another.
+    Every function of a Scenario decorated with scenario_term is kept on
+    the instance the same way, under the function's name, on first use.
     """
 
     gamma0: float
@@ -147,6 +145,31 @@ class Thresholds:
     x0: float
     c1: float
     y0: float
+
+
+def scenario_term(fn):
+    """Decorator: fn(scenario) computed once per Scenario instance, on first use.
+
+    The value is kept in the instance __dict__ under fn's name, as
+    cached_property keeps Scenario.derived there: not a field, so equality,
+    hashing, repr and dataclasses.replace ignore it, and a replaced
+    scenario computes it afresh.  A call of fn that raises keeps nothing,
+    so the next access raises again.  None marks a value not yet computed,
+    so fn must not return it.
+    """
+    key = fn.__name__
+
+    @wraps(fn)
+    def term(scenario: Scenario):
+        # .get and a None test, not try/except KeyError: raising on every
+        # first access made loops of scalar closed-form calls measurably slower
+        terms = scenario.__dict__
+        value = terms.get(key)
+        if value is None:
+            value = terms[key] = fn(scenario)
+        return value
+
+    return term
 
 
 def derive(scenario: Scenario) -> tuple[LinkDerived, Thresholds]:

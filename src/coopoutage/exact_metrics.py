@@ -11,7 +11,7 @@ duration (AOD) as OP / AOR.
 The AF expressions involve a one-dimensional integral (OP) and a
 two-dimensional integral (AOR), both Gauss-Legendre sums over the same
 outer quadrature: the relayed-path level a in [0, g0^2], split into the
-geometric panels of _outer_edges, with the nodes of _outer_nodes.  aor_af
+geometric panels of _outer_panels, with the nodes of _outer_nodes.  aor_af
 gives every outer node its own inner rule in ln t, over the window where
 the inner exponents stay within psi of their peak.  A block is one outer
 panel, and numerics.refine_blocks raises the (outer, inner) orders ((8,
@@ -20,8 +20,14 @@ still counts against tol (1e-8 for op_af, which reads only the outer
 orders; 1e-7 for aor_af).  Neither runs a Gauss-Laguerre cross-check.
 Direct, DF and SR are closed form with no quadrature: lcr_u, the crossing
 rate of sqrt(X^2 + Z^2) behind DF and SR, takes one of three closed paths
-(see its docstring), and it and prob_u_exceeds run once per Scenario
-(_u_lcr, _u_exceeds).
+(see its docstring).  Its equal-variance window is taken to first order in
+the variance gap; the equal-gain windows of prob_u_exceeds and
+sr_switch_probs stay zeroth order (_EQUAL_BRANCH_TOL).
+
+Each per-operating-point term is computed once per Scenario through
+channel.scenario_term: Pr{U > g0} and U's crossing rate, which DF and SR
+share (_u_exceeds, _u_lcr), and the AF outer panels with their shares of
+the outer density, which op_af and aor_af share (_outer_panels).
 
 op_af takes each panel's share of the outer density e^-(g0^2 - a)/ox / ox
 in closed form and lets the panel's rule average the relayed-path CDF
@@ -56,7 +62,7 @@ from operator import attrgetter
 import numpy as np
 from scipy import special as _sp
 
-from .channel import MobilityError, Scenario, rayleigh_lcr
+from .channel import MobilityError, Scenario, rayleigh_lcr, scenario_term
 from .numerics import _TINY, _legendre_base, refine_blocks
 
 __all__ = [
@@ -79,6 +85,10 @@ __all__ = [
 # Equal-parameter detection: the general two-branch formulas develop 0/0
 # forms (and catastrophic cancellation) as the parameters approach each
 # other, so anywhere inside this relative gap we evaluate the limit branch.
+# lcr_u's window (equal derivative variances) adds the first-order term in
+# the gap, so it is off by O(gap^2) <~ 1e-11; prob_u_exceeds' and
+# sr_switch_probs' windows (equal gains) are zeroth order, off by O(gap):
+# 6.8e-5 and 1.1e-4 (p4) relative at g0 = 4 and a gap of 9e-6.
 _EQUAL_BRANCH_TOL = 1e-5
 
 # exp(-PSI) ~ 1e-20: integration cutoff for exponentially decaying tails
@@ -192,12 +202,14 @@ def _decade_edges(lo: float, hi: float) -> list[float]:
     return [lo * ratio ** (i / n_pan) for i in range(n_pan)] + [hi]
 
 
-def _outer_edges(scenario: Scenario) -> np.ndarray:
-    """The AF outer panel edges: decades of a, the top one graded in g0^2 - a.
+@scenario_term
+def _outer_panels(scenario: Scenario) -> tuple:
+    """The AF outer panels, once per Scenario: (edges, share), both read-only.
 
-    Geometric panels, one per decade, run from a = 1e-10*min(g0^2, a_knee)
-    up to the top decade [g0^2 - span, g0^2]; the head below, where the
-    integrand grows at most like log(1/a), is dropped.  a_knee = oy*oz/c1:
+    edges are decades of a, the top one graded in g0^2 - a.  Geometric
+    panels, one per decade, run from a = 1e-10*min(g0^2, a_knee) up to the
+    top decade [g0^2 - span, g0^2]; the head below, where the integrand
+    grows at most like log(1/a), is dropped.  a_knee = oy*oz/c1:
     with c1 >> a the inner peak is about exp(-2*sqrt(a*c1/(oy*oz))), so at
     deep outage (a_knee << g0^2) the mass sits at a <~ a_knee, which a head
     cut at 1e-10*g0^2 would truncate.  The top decade is cut again, one
@@ -206,6 +218,10 @@ def _outer_edges(scenario: Scenario) -> np.ndarray:
     sqrt(d) of the rate's variance is least smooth near d = 0 whatever ox
     is.  The last panel, d in [0, min(ox, span/10)], is the one aor_af
     maps quadratically.
+
+    share holds each panel's share of the outer density e^-(g0^2 - a)/ox / ox
+    in closed form, e^-(g0^2 - a_hi)/ox (1 - e^-(a_hi - a_lo)/ox), which
+    op_af weights its panels by.  op_af and aor_af read the same pair.
 
     Where the head cut underflows to 0, or g0^2 over it or over ox
     overflows, there is no finite count of decades: ValueError names r0
@@ -223,7 +239,11 @@ def _outer_edges(scenario: Scenario) -> np.ndarray:
     edges = _decade_edges(lo, g0sq)
     span = g0sq - edges[-2]
     d = _decade_edges(min(ox, 0.1 * span), span)
-    return np.array(edges[:-1] + [g0sq - di for di in d[-2::-1]] + [g0sq])
+    a_edges = np.array(edges[:-1] + [g0sq - di for di in d[-2::-1]] + [g0sq])
+    share = np.exp((a_edges[1:] - g0sq) / ox) * -np.expm1((a_edges[:-1] - a_edges[1:]) / ox)
+    a_edges.setflags(write=False)
+    share.setflags(write=False)
+    return a_edges, share
 
 
 @lru_cache(maxsize=16)
@@ -234,8 +254,8 @@ def _af_rate_rules(orders: tuple) -> tuple:
     after the other, as columns of M = sum(m) rows; the inner nodes of every
     outer node, shape (M, n) with n the largest inner order; and each pair's
     inner weights, length n.  A shorter inner rule is padded with
-    zero-weight nodes at x = 0.  The arrays are shared by every call, so
-    they are read-only.
+    zero-weight nodes at x = 0.  Last, starts: the first of each pair's
+    rows.  The arrays are shared by every call, so they are read-only.
     """
     n = max(ni for _, ni in orders)
     xo, wo, xi, wi = [], [], [], []
@@ -247,9 +267,10 @@ def _af_rate_rules(orders: tuple) -> tuple:
         xi.append(np.repeat([np.pad(x, (0, n - ni))], m, axis=0))
         wi.append(np.pad(w, (0, n - ni)))
     xo, wo, xi = np.concatenate(xo)[:, None], np.concatenate(wo)[:, None], np.concatenate(xi)
-    for arr in (xo, wo, xi, *wi):
+    starts = np.cumsum([0] + [m for m, _ in orders[:-1]])
+    for arr in (xo, wo, xi, *wi, starts):
         arr.setflags(write=False)
-    return xo, wo, xi, tuple(wi)
+    return xo, wo, xi, tuple(wi), starts
 
 
 def _outer_nodes(a_edges: np.ndarray, idx: np.ndarray, xo: np.ndarray, wo: np.ndarray):
@@ -279,39 +300,31 @@ def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
 
     A single integral over the relayed-path power level a in [0, g0^2] of
     the outer density e^-(g0^2 - a)/ox / ox times the relayed-path CDF, on
-    aor_af's outer quadrature: the panels of _outer_edges, the outer
+    aor_af's outer quadrature: the panels of _outer_panels, the outer
     nodes of _outer_nodes at the outer orders of _AF_RATE_ORDERS, and
     numerics.refine_blocks raising each panel's order while its error
     estimate still counts against tol.  A panel's share of the outer
-    density is taken in closed form, e^-(g0^2 - a_hi)/ox (1 - e^-(a_hi -
-    a_lo)/ox), and its rule, with weights w e^-(a_hi - a)/ox, averages only
-    the CDF over it, normalised by the sum of those weights.  Where the CDF
-    is 1 at every node that average is exactly 1.  The result is clipped to
-    [0, 1]: rounding in the sum can push it past 1 at deep outage.
+    density is taken in closed form (_outer_panels), and its rule, with
+    weights w e^-(a_hi - a)/ox, averages only the CDF over it, normalised
+    by the sum of those weights.  Where the CDF is 1 at every node that
+    average is exactly 1.  The result is clipped to [0, 1]: rounding in the
+    sum can push it past 1 at deep outage.
     """
-    g = scenario.gains
     _, th = scenario.derived
-    g0sq = th.g0**2
-    if g0sq == 0.0:
+    if th.g0**2 == 0.0:
         return 0.0
-    ox, oy, oz = g.omega_x, g.omega_y, g.omega_z
-    c1 = th.c1
-    a_edges = _outer_edges(scenario)
-    a_hi = a_edges[1:]
-    share = np.exp((a_hi - g0sq) / ox) * -np.expm1((a_edges[:-1] - a_hi) / ox)
+    g = scenario.gains
+    a_edges, share = _outer_panels(scenario)
 
     def values(orders, idx: np.ndarray) -> list:
-        xo, wo, _, _ = _af_rate_rules(orders)
+        xo, wo, _, _, starts = _af_rate_rules(orders)
         a, wa = _outer_nodes(a_edges, idx, xo, wo)
         a, wa = a[..., 0], wa[..., 0]
-        wa *= np.exp((a - a_hi[idx, None]) / ox)
+        wa *= np.exp((a - a_edges[idx + 1, None]) / g.omega_x)
         # each order's rows of the stacked rule, summed per panel; weights
         # relative to the panel's top underflow only in panels far (~700 ox)
         # below g0^2, whose share is 0 as well
-        starts = [0]
-        for m, _ in orders[:-1]:
-            starts.append(starts[-1] + m)
-        cdf = np.add.reduceat(wa * _af_relayed_cdf(a, c1, oy, oz), starts, axis=1)
+        cdf = np.add.reduceat(wa * _af_relayed_cdf(a, th.c1, g.omega_y, g.omega_z), starts, axis=1)
         mean = cdf / np.maximum(np.add.reduceat(wa, starts, axis=1), _TINY)
         return list((share[idx, None] * mean).T)
 
@@ -380,12 +393,13 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     """Average outage rate (Hz) of variable-gain AF relaying.
 
     The outer integral, over the relayed-path power level a in [0, g0^2],
-    runs on the geometric panels of _outer_edges: decades of a from
-    1e-10*min(g0^2, oy*oz/c1), the top decade graded in g0^2 - a down to
-    about ox.  The last sliver is mapped through a = g0^2 - span*u^2: there
-    the integrand carries sqrt(g0^2 - a), from the (g0^2 - a)*sigma2_x term
-    of its variance, and with ox << g0^2 the outer weight peaks with width
-    ox; the quadratic map (weight factor 2u) makes both smooth in u.
+    runs on the geometric panels of _outer_panels, which it shares with
+    op_af: decades of a from 1e-10*min(g0^2, oy*oz/c1), the top decade
+    graded in g0^2 - a down to about ox.  The last sliver is mapped through
+    a = g0^2 - span*u^2: there the integrand carries sqrt(g0^2 - a), from
+    the (g0^2 - a)*sigma2_x term of its variance, and with ox << g0^2 the
+    outer weight peaks with width ox; the quadratic map (weight factor 2u)
+    makes both smooth in u.
 
     The inner semi-infinite integral, over t, is one Gauss-Legendre rule in
     v = ln t per outer node.  Its exponents -1/(t*oy) - a*(a + c1)*t/oz are
@@ -425,12 +439,11 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     if g0sq == 0.0:
         return 0.0
     ox, oy, oz = g.omega_x, g.omega_y, g.omega_z
-    c1 = th.c1
-    args = (g0sq, c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oy, oz)
-    a_edges = _outer_edges(scenario)
+    args = (g0sq, th.c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oy, oz)
+    a_edges, _ = _outer_panels(scenario)
 
     def values(orders, idx: np.ndarray) -> list:
-        xo, wo, xi, wi = _af_rate_rules(orders)
+        xo, wo, xi, wi, starts = _af_rate_rules(orders)
         a, wa = _outer_nodes(a_edges, idx, xo, wo)
         wa *= np.exp(-(g0sq - a) / ox - a * (1.0 / oy + 1.0 / oz))
         k, q = _af_rate_quartic(a, *args)
@@ -439,12 +452,10 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
         e = half * xi
         np.exp(e, out=e)
         kern = _af_rate_kernel(e, np.reciprocal(e), k, q)
-        out, start = [], 0
-        for (m, _), w in zip(orders, wi):
-            rows = slice(start, start + m)
-            out.append(np.einsum("bi,bi->b", wa[:, rows, 0], kern[:, rows] @ w))
-            start += m
-        return out
+        return [
+            np.einsum("bi,bi->b", wa[:, s : s + m, 0], kern[:, s : s + m] @ w)
+            for (m, _), s, w in zip(orders, starts, wi)
+        ]
 
     total = refine_blocks(values, a_edges.size - 1, _AF_RATE_ORDERS, tol, "AF outage rate integral")
     return math.sqrt(2.0 / math.pi) / (ox * oy * oz) * total
@@ -511,9 +522,13 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
     s = sigma2_z / sigma2_x, evaluated in closed form by one of three paths:
 
     - sigma2_x ~ sigma2_z (within _EQUAL_BRANCH_TOL), where coef and w blow
-      up: the limit s -> 1, a divided difference of e^{-g0^2/omega} in
-      omega, taken through exprel when the exponent gap is small, so
-      omega_x = omega_z needs no case of its own;
+      up: with t = 1 + hv, h = s - 1 and W = hw = g0^2 (1/oz - 1/ox), the
+      integral is h int_0^1 sqrt(1 + hv) e^{-Wv} dv, taken to first order
+      in h (the rest is <= h^2/8 relative).  The zeroth order is the limit
+      s -> 1, a divided difference of e^{-g0^2/omega} in omega, taken
+      through exprel when |W| < 1, so omega_x = omega_z needs no case of
+      its own; the first, (h/2) int_0^1 v e^{-Wv} dv, through its power
+      series when |W| < 1;
     - |w| * max(1, s) <= 2, where the closed form below cancels: the power
       series _i32_series (omega_x = omega_z gives w = 0 here);
     - otherwise coef * [e^{-g0^2/ox} K(w) - e^{-g0^2/oz} K(s w)] / |w|^{3/2}
@@ -537,7 +552,23 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
             gap = math.exp(-g0sq / omega_x) * g0sq / (omega_x * omega_z) * rel
         else:
             gap = (math.exp(-g0sq / omega_x) - math.exp(-g0sq / omega_z)) / (omega_x - omega_z)
-        return math.sqrt(2.0 / math.pi) * sx * g0 * gap
+        rate = math.sqrt(2.0 / math.pi) * sx * g0 * gap
+        # h = 0 has no first-order term (and both links static would give 0/0)
+        if sigma2_z == sigma2_x:
+            return rate
+        # e^{-g0^2/ox} int_0^1 v e^{-Wv} dv with W = g0^2 delta; at |W| < 1, where
+        # its closed form cancels, the series sum_k (-W)^k/(k! (k+2))
+        big_w = g0sq * delta
+        if abs(big_w) < 1.0:
+            moment, term = 0.0, 1.0
+            for k in range(20):
+                moment += term / (k + 2)
+                term *= -big_w / (k + 1)
+            moment *= math.exp(-g0sq / omega_x)
+        else:
+            moment = (math.exp(-g0sq / omega_x) - (1.0 + big_w) * math.exp(-g0sq / omega_z)) / big_w**2
+        h = (sigma2_z - sigma2_x) / sigma2_x
+        return rate + math.sqrt(2.0 / math.pi) * sx * (0.5 * h) * g0sq * g0 / (omega_x * omega_z) * moment
 
     w = g0sq * (omega_x - omega_z) / (omega_x * omega_z) * sigma2_x / (sigma2_z - sigma2_x)
     s = sigma2_z / sigma2_x
@@ -548,34 +579,22 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
     return coef * diff / abs(w) ** 1.5
 
 
+@scenario_term
 def _u_exceeds(scenario: Scenario) -> float:
-    """Pr{U > g0} of the scenario: prob_u_exceeds, once per Scenario instance.
-
-    Kept in the instance __dict__ under "_u_exceeds", as cached_property
-    keeps Scenario.derived there: not a field, so equality, hashing, repr
-    and dataclasses.replace ignore it.
-    """
-    terms = scenario.__dict__
-    p_u = terms.get("_u_exceeds")
-    if p_u is None:
-        g = scenario.gains
-        p_u = terms["_u_exceeds"] = prob_u_exceeds(scenario.derived[1].g0, g.omega_x, g.omega_z)
-    return p_u
+    """Pr{U > g0} of the scenario: prob_u_exceeds, once per Scenario instance."""
+    g = scenario.gains
+    return prob_u_exceeds(scenario.derived[1].g0, g.omega_x, g.omega_z)
 
 
+@scenario_term
 def _u_lcr(scenario: Scenario) -> float:
     """U's downward crossing rate (Hz) at g0: lcr_u, once per Scenario instance.
 
-    Kept under "_u_lcr" like _u_exceeds; only the outage rates ask for it,
-    so an OP-only call never computes it.
+    Only the outage rates ask for it, so an OP-only call never computes it.
     """
-    terms = scenario.__dict__
-    n_u = terms.get("_u_lcr")
-    if n_u is None:
-        g = scenario.gains
-        ld, th = scenario.derived
-        n_u = terms["_u_lcr"] = lcr_u(th.g0, g.omega_x, g.omega_z, ld.sigma2_x, ld.sigma2_z)
-    return n_u
+    g = scenario.gains
+    ld, th = scenario.derived
+    return lcr_u(th.g0, g.omega_x, g.omega_z, ld.sigma2_x, ld.sigma2_z)
 
 
 def op_df(scenario: Scenario) -> float:

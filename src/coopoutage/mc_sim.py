@@ -265,8 +265,9 @@ def _cached_link(scenario: Scenario, cfg: TraceConfig, dt: float, realization: i
     """Samples of _link_trace(scenario, cfg, dt, realization, link), drawn once per Scenario.
 
     Kept in the instance __dict__ under "_traces" as (cfg, {(realization,
-    link): samples}), like exact_metrics._u_exceeds: not a field, so
-    equality, hashing, repr and dataclasses.replace ignore it.  A different
+    link): samples}), like the terms of channel.scenario_term: not a field,
+    so equality, hashing, repr and dataclasses.replace ignore it.  It is a
+    cache of its own, since it is keyed by the call's arguments.  A different
     cfg replaces the whole set, so a scenario holds at most one.  The
     samples are read-only, since every protocol composes the same arrays.
     """

@@ -113,6 +113,40 @@ class TestDerivedCache:
         assert len(calls) == 1
 
 
+class TestScenarioTerm:
+    """channel.scenario_term: a function of a Scenario, kept on the instance."""
+
+    @staticmethod
+    def counted(fn):
+        calls = []
+
+        def _probe(scenario):
+            calls.append(scenario)
+            return fn(scenario)
+
+        return channel.scenario_term(_probe), calls
+
+    def test_computed_once_under_the_function_name(self):
+        term, calls = self.counted(lambda sc: sc.gamma0 * 2.0)
+        sc, fresh = make_scenario(), make_scenario()
+        assert term(sc) == term(sc) == 200.0
+        assert len(calls) == 1 and sc.__dict__["_probe"] == 200.0
+        assert sc == fresh and hash(sc) == hash(fresh) and repr(sc) == repr(fresh)
+        assert "_probe" not in dataclasses.replace(sc).__dict__
+        assert term(dataclasses.replace(sc, gamma0=10.0)) == 20.0 and len(calls) == 2
+
+    def test_a_raising_computation_keeps_nothing(self):
+        def fail(sc):
+            raise ValueError("no term")
+
+        term, calls = self.counted(fail)
+        sc = make_scenario()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no term"):
+                term(sc)
+        assert len(calls) == 2 and "_probe" not in sc.__dict__
+
+
 class TestValidation:
     def test_rejects_bad_scenario(self):
         with pytest.raises(ValueError):

@@ -520,6 +520,33 @@ class TestAuxiliaryGainStatistics:
     def test_lcr_u_against_quadrature_oracle(self, case):
         assert lcr_u(*case) == pytest.approx(lcr_u_quadrature_oracle(*case), rel=1e-11, abs=0.0)
 
+    # (g0, ox, oz, h, rate) at sigma2_x = 1, sigma2_z = 1 + h: 50-digit mpmath
+    # of the integral behind lcr_u_quadrature_oracle.  |h| <= 1e-5 lies in the
+    # equal-variance window, where the s -> 1 limit alone is O(h) off (up to
+    # 3.9e-6 relative here); 1.1e-5 and 3e-5 lie just outside it
+    @pytest.mark.parametrize(
+        "g0, ox, oz, h, rate",
+        [
+            (2.0, 0.5, 4.0, 9e-6, 0.1675764561342225),
+            (2.0, 0.5, 4.0, -9e-6, 0.16757516203001294),
+            (2.0, 0.5, 4.0, 1e-7, 0.1675758162728677),
+            (2.0, 0.5, 4.0, 1.1e-5, 0.16757659992294588),
+            (2.0, 0.5, 4.0, 3e-5, 0.16757796590950175),
+            (1.0, 1.0, 3.0, 9e-6, 0.13909231932009358),
+            (1.0, 1.0, 3.0, -9e-6, 0.1390916243699983),
+            (1.0, 1.0, 3.0, 1e-7, 0.13909197570642856),
+            (1.0, 1.0, 3.0, 1.1e-5, 0.13909239653649982),
+            (1.0, 1.0, 3.0, 3e-5, 0.1390931300896556),
+            (0.5, 1.0, 1.0, 9e-6, 0.077674314860785),
+            (0.5, 1.0, 1.0, -9e-6, 0.07767396532715458),
+            (0.5, 1.0, 1.0, 1e-7, 0.07767414203608541),
+            (0.5, 1.0, 1.0, 1.1e-5, 0.07767435369772559),
+            (0.5, 1.0, 1.0, 3e-5, 0.0776747226473699),
+        ],
+    )
+    def test_lcr_u_near_equal_derivative_variances(self, g0, ox, oz, h, rate):
+        assert lcr_u(g0, ox, oz, 1.0, 1.0 + h) == pytest.approx(rate, rel=1e-9, abs=0.0)
+
     def test_lcr_u_limit_branch_continuity(self):
         # values straddling the equal-parameter window stay within 1e-5 relative
         base = lcr_u(0.7, 1.0, 1.0, 2.0, 5.0)
@@ -758,6 +785,65 @@ class TestSharedUTerms:
             assert all(math.isfinite(v) for v in (m.p_out, m.aor, m.aod))
             assert 0.0 < m.p_out < 1.0 and m.aor > 0.0
             assert m.aod == m.p_out / m.aor
+
+
+class TestSharedAfPanels:
+    """AF's outer panels and their shares of the outer density, once per Scenario."""
+
+    ASYMMETRIC = TestSharedUTerms.ASYMMETRIC
+
+    def test_metrics_builds_the_panels_once(self, monkeypatch):
+        calls = []
+        original = exact_metrics._decade_edges
+
+        def counting(lo, hi):
+            calls.append((lo, hi))
+            return original(lo, hi)
+
+        # one panel build is two _decade_edges calls: decades of a, then of g0^2 - a
+        monkeypatch.setattr(exact_metrics, "_decade_edges", counting)
+        sc = make_scenario(**self.ASYMMETRIC)
+        metrics(sc, Protocol.AF)
+        metrics(sc, Protocol.AF)
+        assert len(calls) == 2
+
+    def test_shared_panels_give_the_values_of_fresh_ones(self):
+        sc = make_scenario(**self.ASYMMETRIC)
+        p_out, aor = op_af(sc), aor_af(sc)
+        assert p_out == op_af(make_scenario(**self.ASYMMETRIC))
+        assert aor == aor_af(make_scenario(**self.ASYMMETRIC))
+
+    def test_panels_are_kept_read_only_outside_value_identity(self):
+        filled, fresh = make_scenario(**self.ASYMMETRIC), make_scenario(**self.ASYMMETRIC)
+        op_af(filled)
+        edges, share = filled.__dict__["_outer_panels"]
+        assert not (edges.flags.writeable or share.flags.writeable)
+        # the closed-form share, bit for bit
+        g0sq, ox = derive(fresh)[1].g0 ** 2, fresh.gains.omega_x
+        expected = np.exp((edges[1:] - g0sq) / ox) * -np.expm1((edges[:-1] - edges[1:]) / ox)
+        assert np.array_equal(share, expected)
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        assert "_outer_panels" not in dataclasses.replace(filled).__dict__
+
+    @pytest.mark.parametrize("fn", [op_af, aor_af])
+    def test_panel_range_error_recurs_and_keeps_nothing(self, fn):
+        # 0 dB, r0 500: the panels refuse g0^2 = 2^1000 - 1
+        sc = Scenario(1.0, 500.0)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match="r0 = 500 b/s/Hz") as info:
+                fn(sc)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert sc.__dict__.keys() == {f.name for f in dataclasses.fields(sc)} | {"derived"}
+
+    @pytest.mark.parametrize("orders", [exact_metrics._AF_RATE_ORDERS[:2], exact_metrics._AF_RATE_ORDERS[5:6]])
+    def test_rule_offsets_match_the_order_pairs(self, orders):
+        xo, wo, xi, wi, starts = exact_metrics._af_rate_rules(orders)
+        sizes = [m for m, _ in orders]
+        assert list(np.diff([*starts, xo.shape[0]])) == sizes
+        assert starts[0] == 0 and xo.shape[0] == wo.shape[0] == xi.shape[0] == sum(sizes)
 
 
 class TestAsymmetricScenarioPins:
