@@ -3,7 +3,10 @@
 Generates time-correlated mobile-to-mobile Rayleigh link gains by sum of
 sinusoids, composes the protocol's equivalent end-to-end gain sample by
 sample, and estimates outage probability, rate, and duration empirically
-from threshold dwell fractions and downward-crossing counts.
+from threshold dwell fractions and downward-crossing counts.  Every count
+is taken on one below-level mask, below = g < level, with the outage
+entries below[1:] & ~below[:-1] (CrossingCounts.from_mask); a NaN sample
+is not below.
 
 Each ray of the sum carries a random transmit-side angle, receive-side
 angle, and phase, so the quadrature autocorrelation is exactly the product
@@ -28,10 +31,16 @@ link) envelope once per Scenario instance and keeps it on the instance
 (_cached_link), so validating every protocol of one scenario composes the
 same samples: common random numbers across protocols, with every value
 bit-identical to a fresh draw.  gen_link_traces draws afresh on each call.
+DF and SR both test U = sqrt(x^2 + z^2) < g0 on the same samples, so that
+mask is computed once per realization and kept beside the envelopes.
+validate builds each protocol's below-level mask from the stored arrays
+(_outage_mask) and composes a float gain only for AF.
 """
 
+import math
 import struct
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -105,8 +114,8 @@ class FadingTrace:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
 
     @property
     def duration(self) -> float:
@@ -255,33 +264,71 @@ def gen_link_traces(
     """The three link envelopes (S->D, S->R, R->D) on a common time base.
 
     Draws them afresh on every call; validate reads the same samples from
-    the scenario's trace cache (_cached_link).
+    the scenario's trace store (_cached_link).
     """
     dt = scenario_dt(scenario, cfg)
     return tuple(_link_trace(scenario, cfg, dt, realization, link) for link in range(3))
 
 
-def _cached_link(scenario: Scenario, cfg: TraceConfig, dt: float, realization: int, link: int) -> np.ndarray:
-    """Samples of _link_trace(scenario, cfg, dt, realization, link), drawn once per Scenario.
+def _cached(scenario: Scenario, cfg: TraceConfig, key, make) -> np.ndarray:
+    """make(), computed once per Scenario and cfg and kept read-only: validate's trace store.
 
-    Kept in the instance __dict__ under "_traces" as (cfg, {(realization,
-    link): samples}), like the terms of channel.scenario_term: not a field,
-    so equality, hashing, repr and dataclasses.replace ignore it.  It is a
-    cache of its own, since it is keyed by the call's arguments.  A different
-    cfg replaces the whole set, so a scenario holds at most one.  The
-    samples are read-only, since every protocol composes the same arrays.
+    Kept in the instance __dict__ under "_traces" as (cfg, {key: array}),
+    like the terms of channel.scenario_term: not a field, so equality,
+    hashing, repr and dataclasses.replace ignore it.  It is a cache of its
+    own, since it is keyed by the call's arguments.  A different cfg
+    replaces the whole set, so a scenario holds at most one.  The arrays
+    are read-only, since every protocol composes the same ones.
     """
     terms = scenario.__dict__
     traces = terms.get("_traces")
     if traces is None or traces[0] != cfg:
         traces = terms["_traces"] = (cfg, {})
     store = traces[1]
-    samples = store.get((realization, link))
-    if samples is None:
-        samples = _link_trace(scenario, cfg, dt, realization, link).samples
-        samples.setflags(write=False)
-        store[realization, link] = samples
-    return samples
+    value = store.get(key)
+    if value is None:
+        value = store[key] = make()
+        value.setflags(write=False)
+    return value
+
+
+def _cached_link(scenario: Scenario, cfg: TraceConfig, dt: float, realization: int, link: int) -> np.ndarray:
+    """Samples of _link_trace(scenario, cfg, dt, realization, link), drawn once per Scenario."""
+    return _cached(
+        scenario, cfg, (realization, link), lambda: _link_trace(scenario, cfg, dt, realization, link).samples
+    )
+
+
+def _outage_mask(
+    protocol: Protocol,
+    scenario: Scenario,
+    cfg: TraceConfig,
+    dt: float,
+    realization: int,
+    th: Thresholds,
+    th_mc: Thresholds,
+) -> np.ndarray:
+    """equivalent_gain(protocol, x, y, z, th_mc) < protocol.level(th), on the stored traces.
+
+    Only AF composes its float gain.  DF tests min(y, U) < g0 as y < g0 or
+    U < g0, and SR selects between sqrt(2)*x < g0 and U < g0 on y <= y0,
+    with U = hypot(x, z).  Each is the same test sample by sample.  Both
+    read one mask U < g0 per realization, kept in the trace store under
+    (realization, "u_below"), one byte per sample; g0 is fixed by the
+    scenario, so the key needs only the realization.
+    """
+    link = partial(_cached_link, scenario, cfg, dt, realization)
+    level = protocol.level(th)
+    x = link(0)
+    if protocol is Protocol.DIRECT:
+        return x < level
+    y, z = link(1), link(2)
+    if protocol is Protocol.AF:
+        return equivalent_gain(protocol, x, y, z, th_mc) < level
+    u_below = _cached(scenario, cfg, (realization, "u_below"), lambda: np.hypot(x, z) < level)
+    if protocol is Protocol.DF:
+        return (y < level) | u_below
+    return np.where(y <= th.y0, np.sqrt(2.0) * x < level, u_below)
 
 
 def equivalent_gain(protocol: Protocol, x, y, z, thresholds: Thresholds):
@@ -318,10 +365,19 @@ def equivalent_gain(protocol: Protocol, x, y, z, thresholds: Thresholds):
     raise ValueError(f"unknown protocol {protocol}")
 
 
+def _entries(below: np.ndarray) -> np.ndarray:
+    """Outage entries of a below-level mask: sample k not below, sample k+1 below."""
+    return below[1:] & ~below[:-1]
+
+
 def count_down_crossings(samples: np.ndarray, level: float) -> int:
-    """Downward crossings: sample k at or above the level, sample k+1 below."""
-    s = np.asarray(samples)
-    return int(np.count_nonzero((s[:-1] >= level) & (s[1:] < level)))
+    """Downward crossings: sample k not below the level, sample k+1 below.
+
+    Counted on the mask samples < level, the one test every count of this
+    module uses (CrossingCounts.from_mask), so a NaN sample is not below
+    the level: a step from NaN to below it is a crossing.
+    """
+    return int(np.count_nonzero(_entries(np.asarray(samples) < level)))
 
 
 def classify_sr_crossings(
@@ -331,9 +387,10 @@ def classify_sr_crossings(
 
     Returns (envelope_driven, switch_driven): crossings where the relay
     state y <= y0 was unchanged across the step versus crossings caused by
-    the relay switching on or off.  The two counts partition the total.
+    the relay switching on or off.  The two counts partition the total of
+    count_down_crossings(g, g0), taken on the same mask.
     """
-    down = (g[:-1] >= g0) & (g[1:] < g0)
+    down = _entries(np.asarray(g) < g0)
     switched = (y[:-1] <= y0) != (y[1:] <= y0)
     n_switch = int(np.count_nonzero(down & switched))
     return int(np.count_nonzero(down)) - n_switch, n_switch
@@ -357,14 +414,19 @@ class CrossingCounts:
         )
 
     @staticmethod
-    def from_trace(trace: FadingTrace, g0: float) -> "CrossingCounts":
-        s = trace.samples
+    def from_mask(below: np.ndarray, dt: float) -> "CrossingCounts":
+        """Counts of a below-level mask sampled every dt: samples below, and entries."""
         return CrossingCounts(
-            n_samples=len(s),
-            n_below=int(np.count_nonzero(s < g0)),
-            n_crossings=count_down_crossings(s, g0),
-            window=trace.duration,
+            n_samples=len(below),
+            n_below=int(np.count_nonzero(below)),
+            n_crossings=int(np.count_nonzero(_entries(below))),
+            window=dt * len(below),
         )
+
+    @staticmethod
+    def from_trace(trace: FadingTrace, g0: float) -> "CrossingCounts":
+        """Counts of trace.samples < g0; a NaN sample is not below, as in count_down_crossings."""
+        return CrossingCounts.from_mask(trace.samples < g0, trace.dt)
 
 
 @dataclass(frozen=True)
@@ -391,16 +453,16 @@ class EmpiricalMetrics:
         p = c.n_below / c.n_samples
         aor = c.n_crossings / c.window
         aod = p * c.window / c.n_crossings if c.n_crossings > 0 else None
-        root_l = np.sqrt(c.n_crossings) if c.n_crossings > 0 else np.inf
+        root_l = math.sqrt(c.n_crossings) if c.n_crossings > 0 else math.inf
         return EmpiricalMetrics(
             p_out=p,
             n_down_crossings=c.n_crossings,
             window=c.window,
             aor=aor,
             aod=aod,
-            se_p_out=p * np.sqrt(2.0) / root_l,
+            se_p_out=p * math.sqrt(2.0) / root_l,
             se_aor=aor / root_l if c.n_crossings > 0 else 0.0,
-            se_aod=(aod or 0.0) * np.sqrt(2.0) / root_l,
+            se_aod=(aod or 0.0) * math.sqrt(2.0) / root_l,
         )
 
 
@@ -408,8 +470,8 @@ def estimate(trace: FadingTrace, g0: float) -> EmpiricalMetrics:
     """Empirical outage metrics of one equivalent-gain trace at threshold g0."""
     if len(trace.samples) == 0:
         raise ValueError("trace is empty")
-    if g0 < 0.0:
-        raise ValueError("g0 must be nonnegative")
+    if not 0.0 <= g0 < math.inf:
+        raise ValueError("g0 must be finite and nonnegative")
     return EmpiricalMetrics.from_counts(CrossingCounts.from_trace(trace, g0))
 
 
@@ -456,18 +518,22 @@ def validate(
 ) -> ValidationReport:
     """Simulate the protocol and compare empirical metrics with the exact ones.
 
-    Reads n_realizations independent triples of link traces, composes
-    the equivalent gain, merges crossing statistics, and reports relative
-    deviations against the analytical values.  Each (realization, link)
-    envelope is drawn on first use and kept on the scenario for later
-    calls under the same cfg (_cached_link), so every protocol of one
-    scenario composes the same samples as gen_link_traces would draw.
+    Reads n_realizations independent triples of link traces, masks the
+    samples where the equivalent gain is below the protocol's level
+    (_outage_mask: sample by sample the same test as equivalent_gain(...)
+    < level), merges the counts of each mask (CrossingCounts.from_mask),
+    and reports relative deviations against the analytical values.  Each
+    (realization, link) envelope is drawn on first use and kept on the
+    scenario for later calls under the same cfg (_cached_link), so every
+    protocol of one scenario composes the same samples as gen_link_traces
+    would draw; DF and SR also share one kept mask U < g0 per realization.
     Direct transmission reads only the S->D trace (its equivalent gain), so
     it needs no moving relay; AF, DF and SR add the S->R and R->D traces.
-    The kept traces cost 3 * n_realizations * n_samples float64 until the
-    scenario is dropped or validated under another cfg.  zero_c1 drops the
-    AF relay gain constant to its high-SNR limit (the trace side only),
-    which checks the idealised relayed-path composition.
+    The kept arrays cost 3 * n_realizations * n_samples float64, plus
+    n_realizations * n_samples bytes once DF or SR ran, until the scenario
+    is dropped or validated under another cfg.  zero_c1 drops the AF relay
+    gain constant to its high-SNR limit (the trace side only), which
+    checks the idealised relayed-path composition.
     """
     exact = metrics(scenario, protocol)
     _, th = scenario.derived
@@ -475,12 +541,8 @@ def validate(
     dt = scenario_dt(scenario, cfg)
     counts = CrossingCounts()
     for r in range(cfg.n_realizations):
-        if protocol is Protocol.DIRECT:
-            g = _cached_link(scenario, cfg, dt, r, 0)
-        else:
-            x, y, z = (_cached_link(scenario, cfg, dt, r, link) for link in range(3))
-            g = equivalent_gain(protocol, x, y, z, th_mc)
-        counts = counts.merge(CrossingCounts.from_trace(FadingTrace(dt, g), protocol.level(th)))
+        below = _outage_mask(protocol, scenario, cfg, dt, r, th, th_mc)
+        counts = counts.merge(CrossingCounts.from_mask(below, dt))
     emp = EmpiricalMetrics.from_counts(counts)
 
     def entry(name, ex, est, tol):

@@ -255,10 +255,35 @@ class TestEstimator:
         with pytest.raises(ValueError):
             estimate(FadingTrace(dt=1.0, samples=np.array([1.0])), -1.0)
 
+    @pytest.mark.parametrize("g0", [math.nan, math.inf, -math.inf])
+    def test_estimate_refuses_non_finite_threshold(self, g0):
+        with pytest.raises(ValueError):
+            estimate(FadingTrace(dt=1.0, samples=np.array([1.0, 0.5])), g0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+    def test_trace_refuses_bad_interval(self, dt):
+        with pytest.raises(ValueError):
+            FadingTrace(dt=dt, samples=np.array([1.0, 0.5]))
+
     def test_count_down_crossings_edges(self):
         s = np.array([1.0, 0.5, 1.0, 0.5, 0.5, 1.5])
         assert count_down_crossings(s, 0.9) == 2
         assert count_down_crossings(s, 2.0) == 0
+
+    def test_nan_sample_is_not_below_for_every_count(self):
+        # the step from NaN to 0.5 enters the outage that n_below counts
+        s = np.array([1.0, math.nan, 0.5, 1.0])
+        c = CrossingCounts.from_trace(FadingTrace(dt=1.0, samples=s), 0.9)
+        assert (c.n_below, c.n_crossings) == (1, 1)
+        assert count_down_crossings(s, 0.9) == 1
+        assert classify_sr_crossings(s, np.zeros(4), 0.9, 0.5) == (1, 0)
+
+    def test_from_counts_gives_plain_floats(self):
+        for crossings in (0, 7):
+            m = EmpiricalMetrics.from_counts(CrossingCounts(100, 30, crossings, 2.5))
+            for name in ("p_out", "aor", "se_p_out", "se_aor", "se_aod"):
+                assert type(getattr(m, name)) is float, name
+        assert "np.float64" not in repr(m)
 
 
 class TestSelectionCrossingTaxonomy:
@@ -289,17 +314,29 @@ class TestValidate:
         rep = validate(make_scenario(gamma0=10.0), Protocol.DF, TraceConfig(n_samples=2_000_000, seed=4))
         assert rep.passed, "\n".join(rep.lines())
 
-    @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_rebuilt_from_public_parts_is_identical(self, protocol):
-        sc = Scenario(gamma0=10.0, r0=0.5, gains=LinkGains(1.0, 2.0, 0.5), dopplers=NodeDopplers(1.0, 0.3, 0.7))
+    @pytest.mark.parametrize(
+        "protocol, y0, zero_c1",
+        [pytest.param(p, None, False, id=str(p)) for p in Protocol]
+        + [
+            pytest.param(Protocol.SR, 0.8, False, id="Protocol.SR-y0=0.8"),
+            pytest.param(Protocol.SR, 0.1, False, id="Protocol.SR-y0=0.1"),
+            pytest.param(Protocol.AF, None, True, id="Protocol.AF-zero_c1"),
+        ],
+    )
+    def test_rebuilt_from_public_parts_is_identical(self, protocol, y0, zero_c1):
+        sc = Scenario(
+            gamma0=10.0, r0=0.5, gains=LinkGains(1.0, 2.0, 0.5), dopplers=NodeDopplers(1.0, 0.3, 0.7), y0=y0
+        )
         cfg = TraceConfig(n_samples=65_536, seed=5, n_realizations=2)
         _, th = derive(sc)
+        assert y0 is None or th.y0 == y0 != th.g0
+        th_mc = dataclasses.replace(th, c1=0.0) if zero_c1 else th
         counts = CrossingCounts()
         for r in range(cfg.n_realizations):
             x, y, z = gen_link_traces(sc, cfg, realization=r)
-            g = FadingTrace(x.dt, equivalent_gain(protocol, x.samples, y.samples, z.samples, th))
+            g = FadingTrace(x.dt, equivalent_gain(protocol, x.samples, y.samples, z.samples, th_mc))
             counts = counts.merge(CrossingCounts.from_trace(g, protocol.level(th)))
-        assert validate(sc, protocol, cfg).empirical == EmpiricalMetrics.from_counts(counts)
+        assert validate(sc, protocol, cfg, zero_c1=zero_c1).empirical == EmpiricalMetrics.from_counts(counts)
 
     def test_direct_needs_no_moving_relay(self):
         sc = Scenario(gamma0=10.0, r0=0.5, gains=LinkGains(1.0, 1.0, 1.0), dopplers=NodeDopplers(0.0, 0.0, 1.0))
@@ -414,6 +451,38 @@ class TestTraceReuse:
             assert not samples.flags.writeable
             with pytest.raises(ValueError):
                 samples[0] = 0.0
+
+    def test_all_protocols_take_one_hypot_per_realization(self, monkeypatch):
+        calls = []
+        original = np.hypot
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "hypot", counting)
+        sc = self.scenario()
+        for protocol in Protocol:
+            validate(sc, protocol, self.CFG)
+        # DF and SR read one stored U mask; composing each would take 2 per realization
+        assert len(calls) == self.CFG.n_realizations
+
+    def test_u_mask_is_stored_read_only_and_replaced_with_the_traces(self):
+        sc = self.scenario()
+        validate(sc, Protocol.SR, self.CFG)
+        _, th = derive(sc)
+        _, store = sc.__dict__["_traces"]
+        for r in range(self.CFG.n_realizations):
+            x, _, z = gen_link_traces(sc, self.CFG, realization=r)
+            mask = store[r, "u_below"]
+            assert mask.dtype == bool and np.array_equal(mask, np.hypot(x.samples, z.samples) < th.g0)
+            assert not mask.flags.writeable
+            with pytest.raises(ValueError):
+                mask[0] = True
+        other = dataclasses.replace(self.CFG, seed=6)
+        validate(sc, Protocol.AF, other)
+        cfg, store = sc.__dict__["_traces"]
+        assert cfg == other and all(key[1] != "u_below" for key in store)
 
     def test_static_relay_keeps_the_direct_traces(self, draws):
         # --doppler 0,0,1: AF fails on the static S-R link after direct filled link 0
