@@ -160,21 +160,22 @@ def table1_symmetric(gamma_bar: float, r0: float, f_m: float, system: Table1Syst
 def op_to_aor(p_out: float, scenario: Scenario, protocol: Protocol) -> float:
     """High-SNR outage rate implied by an outage probability.
 
-    Eliminating the SNR between the two power laws gives
-    AOR ~ h * P_out^((d + 1) / 4) with h a function of the gains and
-    Dopplers only.
+    Eliminating the level between _power_law's OP = p*level^(2d) and
+    AOR = n*level^(2d - 1) gives AOR = n * (P_out/p)^((2d - 1)/(2d)), with
+    p and n functions of the gains and Dopplers only.
     """
     if not 0.0 < p_out < 1.0:
         raise ValueError("p_out must lie in (0, 1)")
     p_coef, n_coef, _ = _coefficients(scenario, protocol)
-    return n_coef * (p_out / p_coef) ** ((protocol.diversity_gain + 1) / 4.0)
+    d = protocol.diversity_gain
+    return n_coef * (p_out / p_coef) ** ((2 * d - 1) / (2 * d))
 
 
 def op_to_aod(p_out: float, scenario: Scenario, protocol: Protocol) -> float:
     """High-SNR outage duration implied by an outage probability.
 
-    The companion law AOD ~ (1/h) * P_out^((3 - d) / 4); the product with
-    op_to_aor reproduces p_out exactly.
+    The companion law AOD = P_out/AOR = (p^((2d - 1)/(2d))/n) *
+    P_out^(1/(2d)); the product with op_to_aor reproduces p_out exactly.
     """
     return p_out / op_to_aor(p_out, scenario, protocol)
 

@@ -198,12 +198,27 @@ def derive(scenario: Scenario) -> tuple[LinkDerived, Thresholds]:
     return derived, thresholds
 
 
+def _domain_error(**args: float) -> ValueError:
+    """The ValueError of a failed domain test, naming its first bad argument.
+
+    For a caller whose one chained comparison over args failed: every
+    argument must be finite, a mean square gain (a name starting with
+    "omega") positive and every other one nonnegative.
+    """
+    for name, value in args.items():
+        kind = "positive" if name.startswith("omega") else "nonnegative"
+        if not ((value > 0.0 or value == 0.0 and kind == "nonnegative") and value < math.inf):
+            break
+    return ValueError(f"{name} must be finite and {kind}, got {value!r}")
+
+
 def rayleigh_cdf(x: float, omega: float) -> float:
-    """CDF of a Rayleigh envelope with mean square omega, Pr{gain <= x}."""
-    if x < 0.0:
-        raise ValueError("rayleigh_cdf requires x >= 0")
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    """CDF of a Rayleigh envelope with mean square omega, Pr{gain <= x}.
+
+    A NaN or infinite argument, x < 0 or omega <= 0 raise ValueError.
+    """
+    if not (0.0 <= x < math.inf and 0.0 < omega < math.inf):
+        raise _domain_error(x=x, omega=omega)
     return -math.expm1(-x * x / omega)
 
 
@@ -213,11 +228,9 @@ def rayleigh_lcr(level: float, omega: float, sigma2: float) -> float:
     Rice's formula for an envelope with mean square omega whose underlying
     quadratures have derivative variance sigma2:
         sqrt(2 * sigma2 / pi) * (level / omega) * exp(-level^2 / omega).
+    A NaN or infinite argument, level or sigma2 < 0, or omega <= 0 raise
+    ValueError.
     """
-    if level < 0.0:
-        raise ValueError("level must be nonnegative")
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
-    if sigma2 < 0.0:
-        raise ValueError("sigma2 must be nonnegative")
+    if not (0.0 <= level < math.inf and 0.0 < omega < math.inf and 0.0 <= sigma2 < math.inf):
+        raise _domain_error(level=level, omega=omega, sigma2=sigma2)
     return math.sqrt(2.0 * sigma2 / math.pi) * (level / omega) * math.exp(-level * level / omega)

@@ -20,9 +20,14 @@ still counts against tol (1e-8 for op_af, which reads only the outer
 orders; 1e-7 for aor_af).  Neither runs a Gauss-Laguerre cross-check.
 Direct, DF and SR are closed form with no quadrature: lcr_u, the crossing
 rate of sqrt(X^2 + Z^2) behind DF and SR, takes one of three closed paths
-(see its docstring).  Its equal-variance window is taken to first order in
-the variance gap; the equal-gain windows of prob_u_exceeds and
-sr_switch_probs stay zeroth order (_EQUAL_BRANCH_TOL).
+(see its docstring).  Each difference of two exponentials that turns 0/0
+at equal parameters is taken through one primitive, _exprel, exp's divided
+difference: lcr_u inside its equal-variance window, at every gap in the
+link gains, p4 of sr_switch_probs at every pair of gains, and Pr{U > g0}
+inside its equal-gain window.  No zeroth-order limit is left in
+Pr{U > g0} or p4.  Two windows remain (_EQUAL_BRANCH_TOL): p3's
+equal-gain limit, and lcr_u's equal-variance window, off by at most
+gap^2/16.
 
 Each per-operating-point term is computed once per Scenario through
 channel.scenario_term: Pr{U > g0} and U's crossing rate, which DF and SR
@@ -62,7 +67,7 @@ from operator import attrgetter
 import numpy as np
 from scipy import special as _sp
 
-from .channel import MobilityError, Scenario, rayleigh_lcr, scenario_term
+from .channel import MobilityError, Scenario, _domain_error, rayleigh_lcr, scenario_term
 from .numerics import _TINY, _legendre_base, refine_blocks
 
 __all__ = [
@@ -84,11 +89,13 @@ __all__ = [
 
 # Equal-parameter detection: the general two-branch formulas develop 0/0
 # forms (and catastrophic cancellation) as the parameters approach each
-# other, so anywhere inside this relative gap we evaluate the limit branch.
-# lcr_u's window (equal derivative variances) adds the first-order term in
-# the gap, so it is off by O(gap^2) <~ 1e-11; prob_u_exceeds' and
-# sr_switch_probs' windows (equal gains) are zeroth order, off by O(gap):
-# 6.8e-5 and 1.1e-4 (p4) relative at g0 = 4 and a gap of 9e-6.
+# other, so inside this relative gap a form built for it runs instead.
+# prob_u_exceeds' window (equal gains) takes the exact divided difference
+# through _exprel (2.5e-14 worst against 50-digit mpmath at g0 <= 20); p4
+# needs no window.  Two windows keep
+# an approximation: lcr_u's (equal derivative variances) replaces
+# sqrt(1 + gap v) by (1 + gap)^(v/2), off by at most gap^2/16 <~ 6.3e-12;
+# p3's (equal gains) is the zeroth-order exp(-u) P(2, u), off by O(gap).
 _EQUAL_BRANCH_TOL = 1e-5
 
 # exp(-PSI) ~ 1e-20: integration cutoff for exponentially decaying tails
@@ -115,6 +122,16 @@ class OutageMetrics:
 
 def _equalish(a: float, b: float) -> bool:
     return abs(a - b) <= _EQUAL_BRANCH_TOL * max(abs(a), abs(b))
+
+
+def _exprel(y: float) -> float:
+    """(e^y - 1)/y, 1 at y = 0: exp's divided difference at y and 0, never 0/0.
+
+    expm1 keeps it within a few ulps as y -> 0 (McCurdy, Ng & Parlett,
+    Math. Comp. 43, 1984).  Every caller passes y <= 0, so it cannot
+    overflow.
+    """
+    return math.expm1(y) / y if y else 1.0
 
 
 def _require_mobility(scenario: Scenario):
@@ -466,14 +483,22 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
 
 
 def prob_u_exceeds(g0: float, omega_x: float, omega_z: float) -> float:
-    """Pr{sqrt(X^2 + Z^2) > g0} for independent Rayleigh X, Z."""
-    if g0 < 0.0:
-        raise ValueError("g0 must be nonnegative")
+    """Pr{sqrt(X^2 + Z^2) > g0} for independent Rayleigh X, Z.
+
+    (ox e^{-g0^2/ox} - oz e^{-g0^2/oz}) / (ox - oz), or, where the gains
+    agree within _EQUAL_BRANCH_TOL, the same value as
+    e^{-g0^2/o}(1 + (g0^2/o) exprel(-g0^2 |ox - oz|/(ox oz))) with
+    o = max(ox, oz): exact at every gap, the equal-gain limit at ox == oz.
+    A NaN or infinite argument, g0 < 0 or a gain <= 0 raise ValueError.
+    """
+    if not (0.0 <= g0 < math.inf and 0.0 < omega_x < math.inf and 0.0 < omega_z < math.inf):
+        raise _domain_error(g0=g0, omega_x=omega_x, omega_z=omega_z)
     if g0 == 0.0:
         return 1.0
     g0sq = g0 * g0
     if _equalish(omega_x, omega_z):
-        return math.exp(-g0sq / omega_x) * (1.0 + g0sq / omega_x)
+        hi = max(omega_x, omega_z)
+        return math.exp(-g0sq / hi) * (1.0 + g0sq / hi * _exprel(-g0sq * abs(omega_x - omega_z) / (omega_x * omega_z)))
     return (
         omega_x * math.exp(-g0sq / omega_x) - omega_z * math.exp(-g0sq / omega_z)
     ) / (omega_x - omega_z)
@@ -523,21 +548,26 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
 
     - sigma2_x ~ sigma2_z (within _EQUAL_BRANCH_TOL), where coef and w blow
       up: with t = 1 + hv, h = s - 1 and W = hw = g0^2 (1/oz - 1/ox), the
-      integral is h int_0^1 sqrt(1 + hv) e^{-Wv} dv, taken to first order
-      in h (the rest is <= h^2/8 relative).  The zeroth order is the limit
-      s -> 1, a divided difference of e^{-g0^2/omega} in omega, taken
-      through exprel when |W| < 1, so omega_x = omega_z needs no case of
-      its own; the first, (h/2) int_0^1 v e^{-Wv} dv, through its power
-      series when |W| < 1;
+      integral is h int_0^1 sqrt(1 + hv) e^{-Wv} dv.  sqrt(1 + hv) is taken
+      as (1 + h)^(v/2) = e^{lv}, l = log1p(h)/2, exact at v = 0 and 1 and
+      off by at most h^2/16 relative in between (h^2 v(1 - v)/4), so the
+      integral is exp's divided difference e^{-g0^2/ox} exprel(l - W):
+      one _exprel call at its larger end exponent, for every gain gap, so
+      omega_x = omega_z and h = 0 need no case of their own and no exp
+      overflows;
     - |w| * max(1, s) <= 2, where the closed form below cancels: the power
       series _i32_series (omega_x = omega_z gives w = 0 here);
     - otherwise coef * [e^{-g0^2/ox} K(w) - e^{-g0^2/oz} K(s w)] / |w|^{3/2}
       with K = _k32 (erfcx for w > 0, Dawson's integral for w < 0), using
       e^{-g0^2/ox} e^{(1-s)w} = e^{-g0^2/oz}, so no factor can overflow.
+
+    A NaN or infinite argument, g0 < 0, a gain <= 0 or a variance < 0
+    raise ValueError.
     """
-    if g0 < 0.0:
-        raise ValueError("g0 must be nonnegative")
-    if g0 == 0.0:
+    if not (0.0 <= g0 < math.inf and 0.0 < omega_x < math.inf and 0.0 < omega_z < math.inf
+            and 0.0 <= sigma2_x < math.inf and 0.0 <= sigma2_z < math.inf):
+        raise _domain_error(g0=g0, omega_x=omega_x, omega_z=omega_z, sigma2_x=sigma2_x, sigma2_z=sigma2_z)
+    if g0 == 0.0 or sigma2_x + sigma2_z == 0.0:
         return 0.0
     if sigma2_x == 0.0:
         omega_x, omega_z, sigma2_x, sigma2_z = omega_z, omega_x, sigma2_z, sigma2_x
@@ -545,30 +575,13 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
     sx = math.sqrt(sigma2_x)
 
     if _equalish(sigma2_x, sigma2_z):
-        # (e^{-g0^2/ox} - e^{-g0^2/oz}) / (ox - oz); ox * oz * delta == ox - oz
+        # e^{-g0^2/ox} int_0^1 e^{-(W - l)v} dv, exponents -g0^2/ox at v = 0
+        # and l - g0^2/oz at v = 1; ox * oz * delta == ox - oz
         delta = (omega_x - omega_z) / (omega_x * omega_z)
-        if abs(g0sq * delta) < 1.0:
-            rel = float(_sp.exprel(-g0sq * delta))
-            gap = math.exp(-g0sq / omega_x) * g0sq / (omega_x * omega_z) * rel
-        else:
-            gap = (math.exp(-g0sq / omega_x) - math.exp(-g0sq / omega_z)) / (omega_x - omega_z)
-        rate = math.sqrt(2.0 / math.pi) * sx * g0 * gap
-        # h = 0 has no first-order term (and both links static would give 0/0)
-        if sigma2_z == sigma2_x:
-            return rate
-        # e^{-g0^2/ox} int_0^1 v e^{-Wv} dv with W = g0^2 delta; at |W| < 1, where
-        # its closed form cancels, the series sum_k (-W)^k/(k! (k+2))
-        big_w = g0sq * delta
-        if abs(big_w) < 1.0:
-            moment, term = 0.0, 1.0
-            for k in range(20):
-                moment += term / (k + 2)
-                term *= -big_w / (k + 1)
-            moment *= math.exp(-g0sq / omega_x)
-        else:
-            moment = (math.exp(-g0sq / omega_x) - (1.0 + big_w) * math.exp(-g0sq / omega_z)) / big_w**2
-        h = (sigma2_z - sigma2_x) / sigma2_x
-        return rate + math.sqrt(2.0 / math.pi) * sx * (0.5 * h) * g0sq * g0 / (omega_x * omega_z) * moment
+        half_log_s = 0.5 * math.log1p((sigma2_z - sigma2_x) / sigma2_x)  # l
+        top = max(-g0sq / omega_x, half_log_s - g0sq / omega_z)
+        gap = math.exp(top) * g0sq / (omega_x * omega_z) * _exprel(-abs(g0sq * delta - half_log_s))
+        return math.sqrt(2.0 / math.pi) * sx * g0 * gap
 
     w = g0sq * (omega_x - omega_z) / (omega_x * omega_z) * sigma2_x / (sigma2_z - sigma2_x)
     s = sigma2_z / sigma2_x
@@ -624,26 +637,34 @@ def sr_switch_probs(g0: float, omega_x: float, omega_z: float) -> tuple[float, f
 
     Returns (Pr{sqrt(2) X > g0 and U < g0}, Pr{sqrt(2) X < g0 and U > g0})
     for independent Rayleigh X, Z with U = sqrt(X^2 + Z^2).
+
+    p4 is one expression at every pair of gains: with u = g0^2/(2 ox),
+    u e^{-g0^2/oz} exprel(g0^2 (1/oz - 1/ox)/2), its exp taken at the
+    smaller of the exponents g0^2/oz and g0^2 (1/ox + 1/oz)/2 so that
+    _exprel's argument is <= 0.  p3 is the three-term closed form, clamped
+    at 0 (it cancels as g0 -> 0), or exp(-u) P(2, u) with the regularized
+    lower gamma P where the gains agree within _EQUAL_BRANCH_TOL.  A NaN
+    or infinite argument, g0 < 0 or a gain <= 0 raise ValueError.
     """
-    if g0 < 0.0:
-        raise ValueError("g0 must be nonnegative")
+    if not (0.0 <= g0 < math.inf and 0.0 < omega_x < math.inf and 0.0 < omega_z < math.inf):
+        raise _domain_error(g0=g0, omega_x=omega_x, omega_z=omega_z)
     if g0 == 0.0:
         return 0.0, 0.0
     g0sq = g0 * g0
-    if _equalish(omega_x, omega_z):
-        u = g0sq / (2.0 * omega_x)
-        # exp(-u) - (1 + u) exp(-2u) = exp(-u) P(2, u), regularized lower gamma
-        p3 = math.exp(-u) * float(_sp.gammainc(2.0, u))
-        p4 = u * math.exp(-2.0 * u)
-        return p3, p4
+    u = g0sq / (2.0 * omega_x)
+    gap = abs(omega_x - omega_z)
     e_half = math.exp(-0.5 * g0sq * (1.0 / omega_x + 1.0 / omega_z))
+    # p4's exp at the smaller exponent (e_half when oz < ox): _exprel's argument is <= 0
+    p4 = u * (e_half if omega_z < omega_x else math.exp(-g0sq / omega_z)) * _exprel(-0.5 * g0sq * gap / (omega_x * omega_z))
+    if gap <= _EQUAL_BRANCH_TOL * max(omega_x, omega_z):  # _equalish, on the gap p4 used
+        # exp(-u) - (1 + u) exp(-2u) = exp(-u) P(2, u), regularized lower gamma
+        return math.exp(-u) * float(_sp.gammainc(2.0, u)), p4
     p3 = (
-        math.exp(-g0sq / (2.0 * omega_x))
+        math.exp(-u)
         - omega_z / (omega_z - omega_x) * e_half
         + omega_x / (omega_z - omega_x) * math.exp(-g0sq / omega_x)
     )
-    p4 = omega_z / (omega_x - omega_z) * (e_half - math.exp(-g0sq / omega_z))
-    return max(p3, 0.0), max(p4, 0.0)
+    return max(p3, 0.0), p4
 
 
 def op_sr(scenario: Scenario) -> float:

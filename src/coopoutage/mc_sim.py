@@ -34,7 +34,9 @@ bit-identical to a fresh draw.  gen_link_traces draws afresh on each call.
 DF and SR both test U = sqrt(x^2 + z^2) < g0 on the same samples, so that
 mask is computed once per realization and kept beside the envelopes.
 validate builds each protocol's below-level mask from the stored arrays
-(_outage_mask) and composes a float gain only for AF.
+(_outage_mask): direct, DF and SR test their envelopes directly, and
+every other protocol (AF) composes its float gain through
+equivalent_gain.
 """
 
 import math
@@ -45,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import Scenario, Thresholds
+from .channel import Scenario, Thresholds, _domain_error
 from .exact_metrics import OutageMetrics, Protocol, metrics
 
 __all__ = [
@@ -222,10 +224,11 @@ def gen_m2m_rayleigh(
     different spreads are composed.  A link with both terminals static has
     no Doppler process: StaticLinkError is raised unless static_fallback
     requests a constant-envelope draw (good for outage-probability-only
-    studies).
+    studies).  A NaN or infinite omega, f_tx or f_rx, a negative Doppler
+    or omega <= 0 raise ValueError.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    if not (0.0 < omega < math.inf and 0.0 <= f_tx < math.inf and 0.0 <= f_rx < math.inf):
+        raise _domain_error(omega=omega, f_tx=f_tx, f_rx=f_rx)
     rng = _link_rng(cfg.seed, realization, link)
     if f_tx + f_rx <= 0.0:
         if not static_fallback:
@@ -310,12 +313,14 @@ def _outage_mask(
 ) -> np.ndarray:
     """equivalent_gain(protocol, x, y, z, th_mc) < protocol.level(th), on the stored traces.
 
-    Only AF composes its float gain.  DF tests min(y, U) < g0 as y < g0 or
+    Direct, DF and SR take mask shortcuts, each the same test sample by
+    sample: direct tests x < x0, DF tests min(y, U) < g0 as y < g0 or
     U < g0, and SR selects between sqrt(2)*x < g0 and U < g0 on y <= y0,
-    with U = hypot(x, z).  Each is the same test sample by sample.  Both
-    read one mask U < g0 per realization, kept in the trace store under
-    (realization, "u_below"), one byte per sample; g0 is fixed by the
-    scenario, so the key needs only the realization.
+    with U = hypot(x, z).  DF and SR read one mask U < g0 per realization,
+    kept in the trace store under (realization, "u_below"), one byte per
+    sample; g0 is fixed by the scenario, so the key needs only the
+    realization.  Every other protocol (AF) composes its float gain through
+    equivalent_gain, which raises on a protocol it does not know.
     """
     link = partial(_cached_link, scenario, cfg, dt, realization)
     level = protocol.level(th)
@@ -323,12 +328,12 @@ def _outage_mask(
     if protocol is Protocol.DIRECT:
         return x < level
     y, z = link(1), link(2)
-    if protocol is Protocol.AF:
-        return equivalent_gain(protocol, x, y, z, th_mc) < level
-    u_below = _cached(scenario, cfg, (realization, "u_below"), lambda: np.hypot(x, z) < level)
-    if protocol is Protocol.DF:
-        return (y < level) | u_below
-    return np.where(y <= th.y0, np.sqrt(2.0) * x < level, u_below)
+    if protocol is Protocol.DF or protocol is Protocol.SR:
+        u_below = _cached(scenario, cfg, (realization, "u_below"), lambda: np.hypot(x, z) < level)
+        if protocol is Protocol.DF:
+            return (y < level) | u_below
+        return np.where(y <= th.y0, np.sqrt(2.0) * x < level, u_below)
+    return equivalent_gain(protocol, x, y, z, th_mc) < level
 
 
 def equivalent_gain(protocol: Protocol, x, y, z, thresholds: Thresholds):

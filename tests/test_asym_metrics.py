@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from coopoutage.asym_metrics import (
     Table1System,
+    _coefficients,
+    _power_law,
     asym,
     fit_loglog_slope,
     op_to_aod,
@@ -269,6 +272,16 @@ class TestRateVersusOutageProbability:
                 sc = make_scenario(gamma0=gamma0, omegas=(1.2, 0.6, 1.9))
                 a = asym(sc, protocol)
                 assert op_to_aor(a.p_out, sc, protocol) == pytest.approx(a.aor, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_inverts_the_power_law_at_any_diversity_gain(self, d):
+        # OP = p*level^(2d) and AOR = n*level^(2d - 1) give
+        # AOR = n*(OP/p)^((2d - 1)/(2d)) for every d, not only d = 1, 2
+        sc = make_scenario(omegas=(1.2, 0.6, 1.9))
+        protocol = types.SimpleNamespace(token="af", diversity_gain=d, level=Protocol.AF.level)
+        law = _power_law(*_coefficients(sc, protocol), d)
+        assert op_to_aor(law.p_out, sc, protocol) == pytest.approx(law.aor, rel=1e-12)
+        assert op_to_aod(law.p_out, sc, protocol) == pytest.approx(law.aod, rel=1e-12)
 
     def test_sr_spacing_and_duration_orders_at_1e_minus_5(self):
         sc = make_scenario()

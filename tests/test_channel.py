@@ -198,10 +198,25 @@ class TestRayleighCdf:
         with pytest.raises(ValueError):
             rayleigh_cdf(0.1, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="^x must be finite"):
+            rayleigh_cdf(bad, 1.0)
+        with pytest.raises(ValueError, match="^omega must be finite and positive"):
+            rayleigh_cdf(1.0, bad)
+
 
 class TestRayleighLcr:
     def test_zero_level(self):
         assert rayleigh_lcr(0.0, 1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_non_finite_input(self, bad):
+        for i, name in enumerate(("level", "omega", "sigma2")):
+            args = [1.0, 1.0, 1.0]
+            args[i] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                rayleigh_lcr(*args)
 
     def test_reference_value(self):
         got = rayleigh_lcr(1.0, 1.0, math.pi**2)

@@ -491,6 +491,31 @@ class TestAuxiliaryGainStatistics:
             se = math.sqrt(p_emp * (1 - p_emp) / n)
             assert abs(prob_u_exceeds(g0, ox, oz) - p_emp) < 5.0 * se + 1e-9
 
+    # (g0, omega_z, Pr{U > g0}) at omega_x = 1, inside the 1e-5 equal-gain
+    # window: 50-digit mpmath of the two-branch form at the same doubles.
+    # A zeroth-order limit there is off by 2.2e-6 ... 6.8e-5 relative
+    @pytest.mark.parametrize(
+        "g0, oz, ref",
+        [
+            (1.0, 1.000009, 0.7357605377904373),
+            (2.0, 1.000009, 0.09157951317362702),
+            (4.0, 1.000009, 1.9132276158047834e-06),
+            (1.0, 0.999991, 0.7357572268754665),
+            (2.0, 0.999991, 0.09157687572162712),
+            (4.0, 0.999991, 1.9129683347619856e-06),
+        ],
+    )
+    def test_prob_u_exceeds_inside_equal_gain_window(self, g0, oz, ref):
+        assert prob_u_exceeds(g0, 1.0, oz) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_prob_u_exceeds_refuses_non_finite_input(self, bad):
+        for i, name in enumerate(("g0", "omega_x", "omega_z")):
+            args = [1.0, 1.0, 1.0]
+            args[i] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                prob_u_exceeds(*args)
+
     def test_lcr_u_anchors(self):
         assert lcr_u(0.0, 1.0, 1.0, 1.0, 2.0) == 0.0
         pi2 = math.pi**2
@@ -602,6 +627,15 @@ class TestAuxiliaryGainStatistics:
         got = lcr_u(th.g0, g.omega_x, g.omega_z, ld.sigma2_x, ld.sigma2_z)
         assert got == pytest.approx(3.5116083937141662e-129, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_lcr_u_refuses_non_finite_input(self, bad):
+        names = ("g0", "omega_x", "omega_z", "sigma2_x", "sigma2_z")
+        for i, name in enumerate(names):
+            args = [1.0, 1.0, 1.0, 1.0, 1.0]
+            args[i] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                lcr_u(*args)
+
     def test_lcr_u_symmetric_under_link_swap(self):
         # sqrt(X^2 + Z^2) does not care which link is which
         assert lcr_u(4.0, 0.3, 2.0, 11.0, 0.9) == pytest.approx(
@@ -661,6 +695,48 @@ class TestSelectionRelaying:
         p3, _ = sr_switch_probs(1.0, 1.0 / 1400.0, 1.0 / 1400.0)  # u = 700
         assert p3 == pytest.approx(9.85967654375977e-305, rel=1e-12, abs=0.0)
         assert sr_switch_probs(1.0, 1.0 / 1600.0, 1.0 / 1600.0) == (0.0, 0.0)  # u = 800
+
+    # (g0, omega_z, p4) at omega_x = 1: 50-digit mpmath of the two-branch
+    # form at the same doubles.  Inside the 1e-5 equal-gain window a
+    # zeroth-order limit is off by 6.8e-6 ... 1.1e-4 relative; just outside
+    # it (0.999, 1.01 at g0 = 0.01) the two-term difference by up to 3.4e-10
+    @pytest.mark.parametrize(
+        "g0, oz, p4",
+        [
+            (1.0, 1.000009, 0.18394096217200637),
+            (2.0, 1.000009, 0.036632266826913534),
+            (4.0, 1.000009, 9.003786327149778e-07),
+            (1.0, 0.999991, 0.18393847898577842),
+            (2.0, 0.999991, 0.03663028873791362),
+            (4.0, 0.999991, 9.001841719328236e-07),
+            (0.01, 0.999, 4.999499649661342e-05),
+            (0.01, 1.01, 4.999503737500615e-05),
+        ],
+    )
+    def test_switch_probability_p4_near_equal_gains(self, g0, oz, p4):
+        assert sr_switch_probs(g0, 1.0, oz)[1] == pytest.approx(p4, rel=1e-12, abs=0.0)
+
+    def test_switch_probability_p4_at_deep_threshold(self):
+        # 92 dB, r0 = 1.31, g0 = 5.7e-5: the two-term difference of p4 lost
+        # 5.1e-4 of it (2.3e-4 of aor_sr); 50-digit mpmath at the same doubles
+        sc = make_scenario(
+            gamma0=10.0 ** (92.03272285417935 / 10.0),
+            r0=1.3054820550763278,
+            omegas=(8.011242627673523, 4.873920329752255, 8.018995417952366),
+            dopplers=(0.24379391494055438, 2.4010581073061195, 0.0),
+        )
+        _, th = derive(sc)
+        assert th.g0 == pytest.approx(5.6563571618087655e-05, rel=1e-15)
+        p4 = sr_switch_probs(th.g0, sc.gains.omega_x, sc.gains.omega_z)[1]
+        assert p4 == pytest.approx(1.99684230125909e-10, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_switch_probabilities_refuse_non_finite_input(self, bad):
+        for i, name in enumerate(("g0", "omega_x", "omega_z")):
+            args = [1.0, 1.0, 1.0]
+            args[i] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                sr_switch_probs(*args)
 
     @pytest.mark.parametrize("ox,oz", [(1.0, 1.0), (10.0, 1.0), (0.1, 1.0), (0.7, 2.3)])
     def test_switch_probabilities_brute_force(self, ox, oz):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -95,6 +96,15 @@ class TestGeneration:
         for omega in (0.5, 2.0):
             tr = gen_m2m_rayleigh(omega, 1.0, 1.0, cfg)
             assert float(np.mean(tr.samples**2)) == pytest.approx(omega, rel=0.01)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_non_finite_input(self, bad):
+        cfg = TraceConfig(n_samples=1000, seed=1)
+        for i, name in enumerate(("omega", "f_tx", "f_rx")):
+            args = [1.0, 1.0, 1.0]
+            args[i] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                gen_m2m_rayleigh(*args, cfg)
 
     def test_static_link_errors_and_fallback(self):
         cfg = TraceConfig(n_samples=1000, seed=1)
@@ -337,6 +347,17 @@ class TestValidate:
             g = FadingTrace(x.dt, equivalent_gain(protocol, x.samples, y.samples, z.samples, th_mc))
             counts = counts.merge(CrossingCounts.from_trace(g, protocol.level(th)))
         assert validate(sc, protocol, cfg, zero_c1=zero_c1).empirical == EmpiricalMetrics.from_counts(counts)
+
+    def test_protocol_without_mask_shortcut_is_composed_by_equivalent_gain(self):
+        # direct, DF and SR have mask shortcuts; any other protocol goes
+        # through equivalent_gain, which refuses one it does not know
+        # instead of counting it as SR
+        sc = make_scenario(gamma0=10.0)
+        cfg = TraceConfig(n_samples=4096, seed=5)
+        _, th = derive(sc)
+        unknown = types.SimpleNamespace(token="new", level=Protocol.SR.level)
+        with pytest.raises(ValueError, match="unknown protocol"):
+            mc_sim._outage_mask(unknown, sc, cfg, mc_sim.scenario_dt(sc, cfg), 0, th, th)
 
     def test_direct_needs_no_moving_relay(self):
         sc = Scenario(gamma0=10.0, r0=0.5, gains=LinkGains(1.0, 1.0, 1.0), dopplers=NodeDopplers(0.0, 0.0, 1.0))
