@@ -690,7 +690,7 @@ def aor_sr(scenario: Scenario) -> float:
     g = scenario.gains
     ld, th = scenario.derived
     p_y_le = -math.expm1(-th.y0**2 / g.omega_y)
-    p_y_gt = 1.0 - p_y_le
+    p_y_gt = math.exp(-th.y0**2 / g.omega_y)  # not 1 - p_y_le, which rounds to 0 below 1.1e-16
     n_2x = rayleigh_lcr(th.g0 / math.sqrt(2.0), g.omega_x, ld.sigma2_x)
     n_y = rayleigh_lcr(th.y0, g.omega_y, ld.sigma2_y)
     p3, p4 = sr_switch_probs(th.g0, g.omega_x, g.omega_z)

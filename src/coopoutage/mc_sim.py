@@ -32,7 +32,13 @@ link) envelope once per Scenario instance and keeps it on the instance
 same samples: common random numbers across protocols, with every value
 bit-identical to a fresh draw.  gen_link_traces draws afresh on each call.
 DF and SR both test U = sqrt(x^2 + z^2) < g0 on the same samples, so that
-mask is computed once per realization and kept beside the envelopes.
+mask is computed once per realization and kept beside the envelopes.  It
+is decided on squares (_hypot_below): x*x + z*z against g0*g0 wherever
+the two differ by more than a band of relative half-width 2^-48, and by
+np.hypot only for the samples inside the band and NaN samples, or for
+the whole realization when g0 lies outside [2^-500, 2^500], where the
+squares would overflow or lose relative accuracy.  The mask is exactly
+np.hypot(x, z) < g0, sample by sample.
 validate builds each protocol's below-level mask from the stored arrays
 (_outage_mask): direct, DF and SR test their envelopes directly, and
 every other protocol (AF) composes its float gain through
@@ -74,6 +80,8 @@ _TRACE_MAGIC = b"FTRC"
 _BLOCK = 256  # samples per row of the phasor product
 _BLOCK_ROWS = (1 << 20) // _BLOCK  # rows per product: bounds scratch at 2^20 samples
 _SPLIT = 16  # low-table length of a phasor table (see _phasor_table)
+_HYPOT_BAND = 2.0**-48  # relative half-width of _hypot_below's undecided band, 32 unit roundoffs
+_HYPOT_LEVELS = (2.0**-500, 2.0**500)  # levels whose square is decided on squares
 
 
 class StaticLinkError(ValueError):
@@ -302,6 +310,44 @@ def _cached_link(scenario: Scenario, cfg: TraceConfig, dt: float, realization: i
     )
 
 
+def _hypot_below(x: np.ndarray, z: np.ndarray, level: float) -> np.ndarray:
+    """np.hypot(x, z) < level for every sample, decided on squares where that is safe.
+
+    With s = fl(x*x + z*z) and t = fl(level*level), a sample with
+    s < fl(t (1 - b)) is below and one with s > fl(t (1 + b)) is not,
+    b = _HYPOT_BAND = 2^-48 = 32u (unit roundoff u = 2^-53).  Why b
+    suffices (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, sections 2-3): s = (x^2 + z^2)(1 + e) with |e| <= 2u + u^2,
+    t and the two band edges each add a relative rounding of at most u,
+    and a k-ulp hypot h = sqrt(x^2 + z^2)(1 + d) has |d| <= 2ku.  Outside
+    the band, h^2 is therefore on the same side of level^2 as s is of t
+    whenever b > (4 + 4k)u to first order: 8u for the 1 ulp that libm's
+    hypot keeps, and b = 32u covers up to 7 ulps.  These bounds need
+    relative rounding, which the squares keep only for levels in
+    _HYPOT_LEVELS = [2^-500, 2^500]: there t lies in [2^-1000, 2^1000], an
+    underflowed x*x or z*z is off by 2^-1075 absolute, far below u*t, and
+    an overflowed s is inf, far above the upper edge.  The samples inside
+    the band, and NaN samples (both comparisons fail, and hypot(inf, nan)
+    is inf), go to np.hypot; a level outside that range, negative or NaN
+    sends the whole array.  The result is a fresh array, and a square
+    that overflows raises no warning.
+    """
+    lo, hi = _HYPOT_LEVELS
+    if not lo <= level <= hi:
+        return np.hypot(x, z) < level
+    t = level * level
+    with np.errstate(over="ignore"):  # an inf square is decided: far above the band
+        s = x * x
+        s += z * z
+    below = s < t * (1.0 - _HYPOT_BAND)
+    decided = s > t * (1.0 + _HYPOT_BAND)
+    decided |= below
+    if not decided.all():
+        near = np.flatnonzero(~decided)
+        below[near] = np.hypot(x[near], z[near]) < level
+    return below
+
+
 def _outage_mask(
     protocol: Protocol,
     scenario: Scenario,
@@ -317,10 +363,13 @@ def _outage_mask(
     sample: direct tests x < x0, DF tests min(y, U) < g0 as y < g0 or
     U < g0, and SR selects between sqrt(2)*x < g0 and U < g0 on y <= y0,
     with U = hypot(x, z).  DF and SR read one mask U < g0 per realization,
-    kept in the trace store under (realization, "u_below"), one byte per
-    sample; g0 is fixed by the scenario, so the key needs only the
-    realization.  Every other protocol (AF) composes its float gain through
-    equivalent_gain, which raises on a protocol it does not know.
+    _hypot_below(x, z, g0): np.hypot(x, z) < g0 bit for bit, decided on
+    squares outside a band of relative half-width 2^-48 and by hypot
+    inside it.  It is kept in the trace store under (realization,
+    "u_below"), one byte per sample; g0 is fixed by the scenario, so the
+    key needs only the realization.  Every other protocol (AF) composes
+    its float gain through equivalent_gain, which raises on a protocol it
+    does not know.
     """
     link = partial(_cached_link, scenario, cfg, dt, realization)
     level = protocol.level(th)
@@ -329,7 +378,7 @@ def _outage_mask(
         return x < level
     y, z = link(1), link(2)
     if protocol is Protocol.DF or protocol is Protocol.SR:
-        u_below = _cached(scenario, cfg, (realization, "u_below"), lambda: np.hypot(x, z) < level)
+        u_below = _cached(scenario, cfg, (realization, "u_below"), lambda: _hypot_below(x, z, level))
         if protocol is Protocol.DF:
             return (y < level) | u_below
         return np.where(y <= th.y0, np.sqrt(2.0) * x < level, u_below)
@@ -531,7 +580,9 @@ def validate(
     (realization, link) envelope is drawn on first use and kept on the
     scenario for later calls under the same cfg (_cached_link), so every
     protocol of one scenario composes the same samples as gen_link_traces
-    would draw; DF and SR also share one kept mask U < g0 per realization.
+    would draw; DF and SR also share one kept mask U < g0 per realization,
+    exactly np.hypot(x, z) < g0, decided on squares outside a band of
+    relative half-width 2^-48 and by hypot inside it (_hypot_below).
     Direct transmission reads only the S->D trace (its equivalent gain), so
     it needs no moving relay; AF, DF and SR add the S->R and R->D traces.
     The kept arrays cost 3 * n_realizations * n_samples float64, plus

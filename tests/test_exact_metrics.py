@@ -730,6 +730,14 @@ class TestSelectionRelaying:
         p4 = sr_switch_probs(th.g0, sc.gains.omega_x, sc.gains.omega_z)[1]
         assert p4 == pytest.approx(1.99684230125909e-10, rel=1e-12, abs=0.0)
 
+    def test_rate_keeps_the_relayed_term_at_large_negative_exponent(self):
+        # 10 dB, r0 = 8, weak direct link: Pr{Y > y0} = e^-65.5 is below
+        # 1.1e-16, so 1 - Pr{Y <= y0} rounds to 0 and drops nu_U Pr{Y > y0}
+        # = 2.958e-56, leaving the switching term 2.530e-56 alone; 50-digit
+        # mpmath of the closed form, with nu_U from Rice's formula on U = g0
+        sc = Scenario(10.0, 8.0, LinkGains(0.01, 100, 100), NodeDopplers(0.3, 1, 0.7))
+        assert aor_sr(sc) == pytest.approx(5.4878234622516396e-56, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_switch_probabilities_refuse_non_finite_input(self, bad):
         for i, name in enumerate(("g0", "omega_x", "omega_z")):

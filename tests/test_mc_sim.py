@@ -6,6 +6,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopoutage.channel import LinkGains, NodeDopplers, Scenario, derive, rayleigh_lcr
 from coopoutage.exact_metrics import Protocol, lcr_u, op_af
@@ -473,20 +475,27 @@ class TestTraceReuse:
             with pytest.raises(ValueError):
                 samples[0] = 0.0
 
-    def test_all_protocols_take_one_hypot_per_realization(self, monkeypatch):
-        calls = []
-        original = np.hypot
+    def test_all_protocols_take_one_u_mask_per_realization(self, monkeypatch):
+        masks, hypot_sizes = [], []
+        helper, hypot = mc_sim._hypot_below, np.hypot
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting_helper(*args):
+            masks.append(args)
+            return helper(*args)
 
-        monkeypatch.setattr(np, "hypot", counting)
+        def counting_hypot(x, z, *args, **kwargs):
+            hypot_sizes.append(np.size(x))
+            return hypot(x, z, *args, **kwargs)
+
+        monkeypatch.setattr(mc_sim, "_hypot_below", counting_helper)
+        monkeypatch.setattr(np, "hypot", counting_hypot)
         sc = self.scenario()
         for protocol in Protocol:
             validate(sc, protocol, self.CFG)
         # DF and SR read one stored U mask; composing each would take 2 per realization
-        assert len(calls) == self.CFG.n_realizations
+        assert len(masks) == self.CFG.n_realizations
+        # hypot decides only the samples inside the band, never a whole trace
+        assert all(n < self.CFG.n_samples for n in hypot_sizes)
 
     def test_u_mask_is_stored_read_only_and_replaced_with_the_traces(self):
         sc = self.scenario()
@@ -513,6 +522,64 @@ class TestTraceReuse:
             validate(sc, Protocol.AF, self.CFG)
         assert validate(sc, Protocol.DIRECT, self.CFG) == first
         assert len(draws) == self.CFG.n_realizations
+
+
+class TestHypotBelow:
+    """_hypot_below(x, z, level) is np.hypot(x, z) < level, bit for bit."""
+
+    # 1e-160 squares to a subnormal and 1e160 to inf: both take the hypot fallback
+    LEVELS = [1e-160, 1e-150, 2.0**-500, 1e-100, 1e-8, 0.37, 1.0, 80.9, 1e8, 1e100, 2.0**500, 1e150, 1e160]
+
+    @staticmethod
+    def assert_exact(x, z, level):
+        x, z = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
+        with np.errstate(over="ignore"):  # hypot of two huge samples overflows to inf
+            got, expected = mc_sim._hypot_below(x, z, level), np.hypot(x, z) < level
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_on_the_level_and_one_ulp_either_side(self, level):
+        theta = np.random.default_rng(7).uniform(0.0, math.pi / 2.0, 20_000)
+        x, z = level * np.cos(theta), level * np.sin(theta)
+        for dx in (-math.inf, 0.0, math.inf):
+            for dz in (-math.inf, 0.0, math.inf):
+                xs = x if dx == 0.0 else np.nextafter(x, dx)
+                zs = z if dz == 0.0 else np.nextafter(z, dz)
+                self.assert_exact(xs, zs, level)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_special_and_one_sided_samples(self, level):
+        tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+        special = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, tiny, 1e-300, 1e300, huge, level, -level])
+        x, z = np.meshgrid(special, special)
+        self.assert_exact(x.ravel(), z.ravel(), level)
+
+    @pytest.mark.parametrize("level", [0.0, -1.0, math.nan, math.inf])
+    def test_levels_outside_the_range(self, level):
+        self.assert_exact([0.0, 0.5, 1.0, math.nan, math.inf], [0.5, 0.0, 1.0, 1.0, math.nan], level)
+
+    def test_squares_decide_off_the_band(self, monkeypatch):
+        sizes = []
+        hypot = np.hypot
+        monkeypatch.setattr(np, "hypot", lambda x, z: sizes.append(np.size(x)) or hypot(x, z))
+        rng = np.random.default_rng(3)
+        x, z = rng.rayleigh(0.7, 65_536), rng.rayleigh(0.7, 65_536)
+        assert np.array_equal(mc_sim._hypot_below(x, z, 1.1), hypot(x, z) < 1.1)
+        assert sizes == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True)), min_size=1, max_size=40),
+        level=st.floats(min_value=1e-160, max_value=1e160),
+        on_level=st.booleans(),
+    )
+    def test_random_samples(self, pairs, level, on_level):
+        x, z = np.array(pairs).T
+        if on_level:  # rescaled onto the level, where the band sends them to hypot
+            with np.errstate(all="ignore"):
+                norm = np.hypot(x, z)
+                x, z = x / norm * level, z / norm * level
+        self.assert_exact(x, z, level)
 
 
 class TestTraceFile:
