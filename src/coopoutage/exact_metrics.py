@@ -21,13 +21,13 @@ orders; 1e-7 for aor_af).  Neither runs a Gauss-Laguerre cross-check.
 Direct, DF and SR are closed form with no quadrature: lcr_u, the crossing
 rate of sqrt(X^2 + Z^2) behind DF and SR, takes one of three closed paths
 (see its docstring).  Each difference of two exponentials that turns 0/0
-at equal parameters is taken through one primitive, _exprel, exp's divided
-difference: lcr_u inside its equal-variance window, at every gap in the
-link gains, p4 of sr_switch_probs at every pair of gains, and Pr{U > g0}
-inside its equal-gain window.  No zeroth-order limit is left in
-Pr{U > g0} or p4.  Two windows remain (_EQUAL_BRANCH_TOL): p3's
-equal-gain limit, and lcr_u's equal-variance window, off by at most
-gap^2/16.
+at equal parameters is exp's divided difference, taken through _exprel:
+as _exp_dd(a, b) = (e^a - e^b)/(a - b) in lcr_u's equal-variance window,
+at every gap in the link gains, and in p3 and p4 of sr_switch_probs at
+every pair of gains; directly in Pr{U > g0} inside its equal-gain window.
+No zeroth-order limit is left.  Two windows remain (_EQUAL_BRANCH_TOL):
+Pr{U > g0}'s, exact at every gap, and lcr_u's equal-variance window, off
+by at most gap^2/16.
 
 Each per-operating-point term is computed once per Scenario through
 channel.scenario_term: Pr{U > g0} and U's crossing rate, which DF and SR
@@ -90,12 +90,11 @@ __all__ = [
 # Equal-parameter detection: the general two-branch formulas develop 0/0
 # forms (and catastrophic cancellation) as the parameters approach each
 # other, so inside this relative gap a form built for it runs instead.
-# prob_u_exceeds' window (equal gains) takes the exact divided difference
-# through _exprel (2.5e-14 worst against 50-digit mpmath at g0 <= 20); p4
-# needs no window.  Two windows keep
-# an approximation: lcr_u's (equal derivative variances) replaces
-# sqrt(1 + gap v) by (1 + gap)^(v/2), off by at most gap^2/16 <~ 6.3e-12;
-# p3's (equal gains) is the zeroth-order exp(-u) P(2, u), off by O(gap).
+# Two windows are left.  prob_u_exceeds' (equal gains) takes the exact
+# divided difference through _exprel (2.5e-14 worst against 50-digit
+# mpmath at g0 <= 20).  lcr_u's (equal derivative variances) replaces
+# sqrt(1 + gap v) by (1 + gap)^(v/2), off by at most gap^2/16 <~ 6.3e-12.
+# sr_switch_probs needs no window.
 _EQUAL_BRANCH_TOL = 1e-5
 
 # exp(-PSI) ~ 1e-20: integration cutoff for exponentially decaying tails
@@ -132,6 +131,15 @@ def _exprel(y: float) -> float:
     overflow.
     """
     return math.expm1(y) / y if y else 1.0
+
+
+def _exp_dd(a: float, b: float) -> float:
+    """(e^a - e^b)/(a - b), e^a at a = b: exp's divided difference at a and b.
+
+    Taken as e^max(a, b) exprel(-|a - b|), so nothing cancels, and for
+    a, b <= 0 no exp overflows.
+    """
+    return math.exp(max(a, b)) * _exprel(-abs(a - b))
 
 
 def _require_mobility(scenario: Scenario):
@@ -551,10 +559,10 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
       integral is h int_0^1 sqrt(1 + hv) e^{-Wv} dv.  sqrt(1 + hv) is taken
       as (1 + h)^(v/2) = e^{lv}, l = log1p(h)/2, exact at v = 0 and 1 and
       off by at most h^2/16 relative in between (h^2 v(1 - v)/4), so the
-      integral is exp's divided difference e^{-g0^2/ox} exprel(l - W):
-      one _exprel call at its larger end exponent, for every gain gap, so
-      omega_x = omega_z and h = 0 need no case of their own and no exp
-      overflows;
+      rate is g0^2/(ox oz) times exp's divided difference
+      _exp_dd(-g0^2/ox, l - g0^2/oz) at the integral's end exponents, for
+      every gain gap: omega_x = omega_z and h = 0 need no case of their
+      own and no exp overflows;
     - |w| * max(1, s) <= 2, where the closed form below cancels: the power
       series _i32_series (omega_x = omega_z gives w = 0 here);
     - otherwise coef * [e^{-g0^2/ox} K(w) - e^{-g0^2/oz} K(s w)] / |w|^{3/2}
@@ -576,11 +584,9 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
 
     if _equalish(sigma2_x, sigma2_z):
         # e^{-g0^2/ox} int_0^1 e^{-(W - l)v} dv, exponents -g0^2/ox at v = 0
-        # and l - g0^2/oz at v = 1; ox * oz * delta == ox - oz
-        delta = (omega_x - omega_z) / (omega_x * omega_z)
+        # and l - g0^2/oz at v = 1
         half_log_s = 0.5 * math.log1p((sigma2_z - sigma2_x) / sigma2_x)  # l
-        top = max(-g0sq / omega_x, half_log_s - g0sq / omega_z)
-        gap = math.exp(top) * g0sq / (omega_x * omega_z) * _exprel(-abs(g0sq * delta - half_log_s))
+        gap = g0sq / (omega_x * omega_z) * _exp_dd(-g0sq / omega_x, half_log_s - g0sq / omega_z)
         return math.sqrt(2.0 / math.pi) * sx * g0 * gap
 
     w = g0sq * (omega_x - omega_z) / (omega_x * omega_z) * sigma2_x / (sigma2_z - sigma2_x)
@@ -638,13 +644,14 @@ def sr_switch_probs(g0: float, omega_x: float, omega_z: float) -> tuple[float, f
     Returns (Pr{sqrt(2) X > g0 and U < g0}, Pr{sqrt(2) X < g0 and U > g0})
     for independent Rayleigh X, Z with U = sqrt(X^2 + Z^2).
 
-    p4 is one expression at every pair of gains: with u = g0^2/(2 ox),
-    u e^{-g0^2/oz} exprel(g0^2 (1/oz - 1/ox)/2), its exp taken at the
-    smaller of the exponents g0^2/oz and g0^2 (1/ox + 1/oz)/2 so that
-    _exprel's argument is <= 0.  p3 is the three-term closed form, clamped
-    at 0 (it cancels as g0 -> 0), or exp(-u) P(2, u) with the regularized
-    lower gamma P where the gains agree within _EQUAL_BRANCH_TOL.  A NaN
-    or infinite argument, g0 < 0 or a gain <= 0 raise ValueError.
+    With u = g0^2/(2 ox), z = g0^2/(2 oz) and exp's divided difference
+    d = u _exp_dd(-u, -z), each is one term at every pair of gains:
+    p4 = e^{-z} d, and p3 = e^{-u} (-expm1(-u) - d), clamped at 0 against
+    rounding.  Only at omega_x == omega_z exactly does p3 take
+    e^{-u} P(2, u), with the regularized lower gamma P: there the
+    difference cancels as u -> 0.  Elsewhere p3 keeps about 2e-16/z
+    relative as z -> 0.  A NaN or infinite argument, g0 < 0 or a gain
+    <= 0 raise ValueError.
     """
     if not (0.0 <= g0 < math.inf and 0.0 < omega_x < math.inf and 0.0 < omega_z < math.inf):
         raise _domain_error(g0=g0, omega_x=omega_x, omega_z=omega_z)
@@ -652,19 +659,11 @@ def sr_switch_probs(g0: float, omega_x: float, omega_z: float) -> tuple[float, f
         return 0.0, 0.0
     g0sq = g0 * g0
     u = g0sq / (2.0 * omega_x)
-    gap = abs(omega_x - omega_z)
-    e_half = math.exp(-0.5 * g0sq * (1.0 / omega_x + 1.0 / omega_z))
-    # p4's exp at the smaller exponent (e_half when oz < ox): _exprel's argument is <= 0
-    p4 = u * (e_half if omega_z < omega_x else math.exp(-g0sq / omega_z)) * _exprel(-0.5 * g0sq * gap / (omega_x * omega_z))
-    if gap <= _EQUAL_BRANCH_TOL * max(omega_x, omega_z):  # _equalish, on the gap p4 used
-        # exp(-u) - (1 + u) exp(-2u) = exp(-u) P(2, u), regularized lower gamma
-        return math.exp(-u) * float(_sp.gammainc(2.0, u)), p4
-    p3 = (
-        math.exp(-u)
-        - omega_z / (omega_z - omega_x) * e_half
-        + omega_x / (omega_z - omega_x) * math.exp(-g0sq / omega_x)
-    )
-    return max(p3, 0.0), p4
+    z = g0sq / (2.0 * omega_z)
+    d = u * _exp_dd(-u, -z)
+    # at omega_x == omega_z, -expm1(-u) - d is P(2, u), regularized lower gamma, free of its cancellation
+    p3 = float(_sp.gammainc(2.0, u)) if omega_x == omega_z else max(-math.expm1(-u) - d, 0.0)
+    return math.exp(-u) * p3, math.exp(-z) * d
 
 
 def op_sr(scenario: Scenario) -> float:
@@ -675,7 +674,7 @@ def op_sr(scenario: Scenario) -> float:
     p_y_le = -math.expm1(-th.y0**2 / g.omega_y)
     p_2x_le = -math.expm1(-g0sq / (2.0 * g.omega_x))
     p_u_le = 1.0 - _u_exceeds(scenario)
-    return p_2x_le * p_y_le + p_u_le * (1.0 - p_y_le)
+    return p_2x_le * p_y_le + p_u_le * math.exp(-th.y0**2 / g.omega_y)
 
 
 def aor_sr(scenario: Scenario) -> float:

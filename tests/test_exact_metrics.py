@@ -1,9 +1,11 @@
 """Exact OP/AOR/AOD expressions against closed anchors, oracles, and each other."""
 
 import dataclasses
+import itertools
 import math
 import re
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from coopoutage import exact_metrics
 from coopoutage.asym_metrics import asym
-from coopoutage.channel import LinkGains, MobilityError, NodeDopplers, Scenario, derive
+from coopoutage.channel import LinkGains, MobilityError, NodeDopplers, Scenario, derive, rayleigh_lcr
 from coopoutage.exact_metrics import (
     Protocol,
     aor_af,
@@ -68,6 +70,23 @@ def lcr_u_quadrature_oracle(g0, ox, oz, s2x, s2z, order=3000):
         * math.exp(-g0 * g0 / ox)
         * float(np.sum(rule.weights * f))
     )
+
+
+def switch_sum_reference(g0, ox, oz):
+    """p3 + p4 of sr_switch_probs in 60-digit decimal arithmetic, at the same doubles.
+
+    With u = g0^2/(2 ox) and z = g0^2/(2 oz) the two closed forms sum to
+    e^-u - e^-2u - u (e^-u - e^-z)^2 / (z - u), and to e^-u - e^-2u at u = z.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        g0sq = Decimal(g0) ** 2
+        u, z = g0sq / (2 * Decimal(ox)), g0sq / (2 * Decimal(oz))
+        eu = (-u).exp()
+        total = eu - eu * eu
+        if u != z:
+            total -= u * (eu - (-z).exp()) ** 2 / (z - u)
+        return total
 
 
 # the four link shapes of the SNR sweep: gains, r0, node Dopplers
@@ -469,6 +488,30 @@ class TestAfOutageRate:
         assert abs(op_af(sc, tol=1e-8) - op_af(sc, tol=1e-11)) < 1e-8 * op_af(sc)
 
 
+class TestExpDividedDifference:
+    """exact_metrics._exp_dd(a, b) = (e^a - e^b)/(a - b), e^a at a = b."""
+
+    @pytest.mark.parametrize(
+        "a, b", [(-1.0, -3.0), (0.0, -1e-9), (-700.0, -0.5), (-2.5, -2.5 - 1e-12), (-1e-300, 0.0)]
+    )
+    def test_symmetric(self, a, b):
+        assert exact_metrics._exp_dd(a, b) == exact_metrics._exp_dd(b, a)
+
+    @pytest.mark.parametrize("a", [0.0, -1e-300, -0.5, -30.0, -700.0])
+    def test_equal_arguments_give_exp(self, a):
+        assert exact_metrics._exp_dd(a, a) == math.exp(a)
+
+    @pytest.mark.parametrize("a, b", [(-0.5, -3.0), (0.0, -1.0), (-10.0, -2.0), (-1.0, -40.0), (-300.0, -1.0)])
+    def test_agrees_with_the_quotient_where_it_does_not_cancel(self, a, b):
+        quotient = (math.exp(a) - math.exp(b)) / (a - b)
+        assert exact_metrics._exp_dd(a, b) == pytest.approx(quotient, rel=4 * 2.0**-52, abs=0.0)
+
+    def test_finite_far_apart_and_where_it_underflows(self):
+        # e^-1000 underflows, the quotient's 1/1000 does not
+        assert exact_metrics._exp_dd(0.0, -1000.0) == pytest.approx(1e-3, rel=1e-15, abs=0.0)
+        assert exact_metrics._exp_dd(-745.0, -745.0) == math.exp(-745.0) > 0.0
+
+
 class TestAuxiliaryGainStatistics:
     def test_prob_u_exceeds_anchors(self):
         assert prob_u_exceeds(0.0, 1.0, 1.0) == 1.0
@@ -716,6 +759,76 @@ class TestSelectionRelaying:
     def test_switch_probability_p4_near_equal_gains(self, g0, oz, p4):
         assert sr_switch_probs(g0, 1.0, oz)[1] == pytest.approx(p4, rel=1e-12, abs=0.0)
 
+    # (g0, omega_z, p3, p4) at omega_x = 1: 80-digit mpmath of the closed
+    # forms at the same doubles.  The three-term form of p3 and its old 1e-5
+    # zeroth-order equal-gain window were off by up to 7.2e-5 relative here;
+    # as z -> 0 the divided-difference form keeps about 2e-16/z
+    @pytest.mark.parametrize(
+        "g0, oz, p3, p4",
+        [
+            (0.01, 0.999991, 1.2499070867365846e-9, 4.999500021624474e-5),
+            (0.01, 1.000009, 1.2498845889864703e-9, 4.999500028373799e-5),
+            (0.01, 0.999, 1.2511469638717984e-9, 4.9994996496613418e-5),
+            (0.01, 1.01, 1.2375208356563306e-9, 4.9995037375006149e-5),
+            (0.01, 3.0, 4.166365751832284e-10, 4.999750006481366e-5),
+            (0.01, 0.2, 6.2490625794221228e-9, 4.9980004082766729e-5),
+            (0.3, 0.999991, 0.00093940155293820768, 0.041126878352394495),
+            (0.3, 1.000009, 0.00093938489654235483, 0.041126928321582053),
+            (0.3, 0.999, 0.00094031949236516993, 0.041124124589739761),
+            (0.3, 1.01, 0.00093022992991986909, 0.041154398665997144),
+            (0.3, 3.0, 0.00031627409234093604, 0.043021499946389198),
+            (0.3, 0.2, 0.0044283738282779692, 0.031437835678769972),
+            (1.0, 0.999991, 0.054711911822945267, 0.18393847898577841),
+            (1.0, 1.000009, 0.054711084094202586, 0.18394096217200637),
+            (1.0, 0.999, 0.054757521238031924, 0.18380168144453254),
+            (1.0, 1.01, 0.054255449372531658, 0.18531088277484654),
+            (1.0, 3.0, 0.020344701749466544, 0.30467128731179584),
+            (1.0, 0.2, 0.1591281253402965, 0.010762280342194621),
+        ],
+    )
+    def test_switch_probabilities_against_closed_forms(self, g0, oz, p3, p4):
+        rel = 1e-12 if g0 >= 0.3 else 5e-11
+        got3, got4 = sr_switch_probs(g0, 1.0, oz)
+        assert got3 == pytest.approx(p3, rel=rel, abs=0.0)
+        assert got4 == pytest.approx(p4, rel=rel, abs=0.0)
+
+    def test_switching_term_on_the_declared_grid(self):
+        # n_y (p3 + p4) against switch_sum_reference, relative to aor_sr, over
+        # SNR {-30, -10, ..., 90, 100} dB x r0 {0.1, 1, 8} x each gain in
+        # {0.01, 1, 100}.  The three-term p3 put 25 of these above 1e-10
+        # (worst 3.9e-7, at 90 dB).  At the 101 points where aor_sr is 0 the
+        # switching term itself is below 1e-600, so there is nothing to compare
+        checked = 0
+        for snr_db, r0, omegas in itertools.product(
+            (-30, -10, 10, 30, 50, 70, 90, 100), (0.1, 1.0, 8.0), itertools.product((0.01, 1.0, 100.0), repeat=3)
+        ):
+            sc = Scenario(10.0 ** (snr_db / 10.0), r0, LinkGains(*omegas), NodeDopplers(0.3, 1.0, 0.7))
+            rate = aor_sr(sc)
+            if rate == 0.0:
+                continue
+            ld, th = derive(sc)
+            g = sc.gains
+            p3, p4 = sr_switch_probs(th.g0, g.omega_x, g.omega_z)
+            n_y = rayleigh_lcr(th.y0, g.omega_y, ld.sigma2_y)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                err = Decimal(n_y) * abs(Decimal(p3) + Decimal(p4) - switch_sum_reference(th.g0, g.omega_x, g.omega_z))
+                assert err <= Decimal(1e-13) * Decimal(rate), (snr_db, r0, omegas, float(err) / rate)
+            checked += 1
+        assert checked == 547
+
+    def test_rate_at_deep_threshold_near_equal_gains(self):
+        # 98.75 dB, g0 = 7.2e-6: the three-term p3, O(g0^4) out of terms of
+        # order 1, put aor_sr 2.4e-4 off; 50-digit mpmath of the closed form,
+        # with nu_U from Rice's formula on U = g0
+        sc = make_scenario(
+            gamma0=10.0 ** (98.75459158318932 / 10.0),
+            r0=0.23673945348879083,
+            omegas=(1.7745474611111032, 4.186098231008649, 1.7470062447900954),
+            dopplers=(0.842130733595355, 0.17629947739113627, 0.0),
+        )
+        assert aor_sr(sc) == pytest.approx(4.4332635832804904e-16, rel=1e-12, abs=0.0)
+
     def test_switch_probability_p4_at_deep_threshold(self):
         # 92 dB, r0 = 1.31, g0 = 5.7e-5: the two-term difference of p4 lost
         # 5.1e-4 of it (2.3e-4 of aor_sr); 50-digit mpmath at the same doubles
@@ -775,8 +888,6 @@ class TestSelectionRelaying:
             sc = make_scenario(omegas=omegas)
             g = sc.gains
             ld, th = derive(sc)
-            from coopoutage.channel import rayleigh_lcr
-
             terms = [
                 rayleigh_lcr(th.g0 / math.sqrt(2.0), g.omega_x, ld.sigma2_x)
                 * -math.expm1(-th.y0**2 / g.omega_y),
