@@ -18,16 +18,17 @@ panel, and numerics.refine_blocks raises the (outer, inner) orders ((8,
 48), (12, 64), ... (96, 512)) only of the blocks whose error estimate
 still counts against tol (1e-8 for op_af, which reads only the outer
 orders; 1e-7 for aor_af).  Neither runs a Gauss-Laguerre cross-check.
-Direct, DF and SR are closed form with no quadrature: lcr_u, the crossing
-rate of sqrt(X^2 + Z^2) behind DF and SR, takes one of three closed paths
-(see its docstring).  Each difference of two exponentials that turns 0/0
-at equal parameters is exp's divided difference, taken through _exprel:
-as _exp_dd(a, b) = (e^a - e^b)/(a - b) in lcr_u's equal-variance window,
-at every gap in the link gains, and in p3 and p4 of sr_switch_probs at
-every pair of gains; directly in Pr{U > g0} inside its equal-gain window.
-No zeroth-order limit is left.  Two windows remain (_EQUAL_BRANCH_TOL):
-Pr{U > g0}'s, exact at every gap, and lcr_u's equal-variance window, off
-by at most gap^2/16.
+Direct, DF and SR use no adaptive quadrature.  lcr_u, the crossing rate
+of sqrt(X^2 + Z^2) behind DF and SR, is one integral in a form symmetric
+in the two links and free of cancellation, taken exactly at equal
+derivative variances, by one fixed 10-node Gauss-Legendre rule where its
+exponent spans at most 1, and in closed form elsewhere (see its
+docstring).  Each difference of two exponentials that turns 0/0 at equal
+parameters is exp's divided difference, taken through _exprel: as
+_exp_dd(a, b) = (e^a - e^b)/(a - b) in lcr_u at equal variances, and in
+p3 and p4 of sr_switch_probs at every pair of gains; directly in
+Pr{U > g0} inside its equal-gain window.  No zeroth-order limit is left.
+One window remains (_EQUAL_BRANCH_TOL): Pr{U > g0}'s, exact at every gap.
 
 Each per-operating-point term is computed once per Scenario through
 channel.scenario_term: Pr{U > g0} and U's crossing rate, which DF and SR
@@ -87,14 +88,12 @@ __all__ = [
     "metrics",
 ]
 
-# Equal-parameter detection: the general two-branch formulas develop 0/0
-# forms (and catastrophic cancellation) as the parameters approach each
-# other, so inside this relative gap a form built for it runs instead.
-# Two windows are left.  prob_u_exceeds' (equal gains) takes the exact
+# Equal-parameter detection: the general two-branch formula of Pr{U > g0}
+# develops a 0/0 form (and catastrophic cancellation) as the gains approach
+# each other, so inside this relative gap a form built for it runs instead.
+# One window is left, prob_u_exceeds' (equal gains): it takes the exact
 # divided difference through _exprel (2.5e-14 worst against 50-digit
-# mpmath at g0 <= 20).  lcr_u's (equal derivative variances) replaces
-# sqrt(1 + gap v) by (1 + gap)^(v/2), off by at most gap^2/16 <~ 6.3e-12.
-# sr_switch_probs needs no window.
+# mpmath at g0 <= 20).  lcr_u and sr_switch_probs need no window.
 _EQUAL_BRANCH_TOL = 1e-5
 
 # exp(-PSI) ~ 1e-20: integration cutoff for exponentially decaying tails
@@ -501,8 +500,6 @@ def prob_u_exceeds(g0: float, omega_x: float, omega_z: float) -> float:
     """
     if not (0.0 <= g0 < math.inf and 0.0 < omega_x < math.inf and 0.0 < omega_z < math.inf):
         raise _domain_error(g0=g0, omega_x=omega_x, omega_z=omega_z)
-    if g0 == 0.0:
-        return 1.0
     g0sq = g0 * g0
     if _equalish(omega_x, omega_z):
         hi = max(omega_x, omega_z)
@@ -512,63 +509,59 @@ def prob_u_exceeds(g0: float, omega_x: float, omega_z: float) -> float:
     ) / (omega_x - omega_z)
 
 
-def _i32_series(w: float, s: float) -> float:
-    """int_1^s sqrt(t) e^{-wt} dt = sum_k (-w)^k (s^{k+3/2} - 1) / (k! (k+3/2)).
-
-    Accurate for |w|*max(1,s) <~ 2."""
-    total = 0.0
-    term_pow = 1.0  # (-w)^k / k!
-    spow = s * math.sqrt(s)
-    for k in range(60):
-        contrib = term_pow * (spow - 1.0) / (k + 1.5)
-        total += contrib
-        if abs(contrib) < 1e-17 * abs(total):
-            break
-        term_pow *= -w / (k + 1.0)
-        spow *= s
-    return total
-
-
 def _k32(w: float) -> float:
-    """Kernel of lcr_u's closed form, overflow free.
+    """Kernel K of lcr_u's closed form, overflow free.
 
     For w > 0 it is e^w Gamma(3/2, w) = (sqrt(pi)/2) erfcx(sqrt(w)) + sqrt(w).
     For w < 0 it is D(sqrt(-w)) - sqrt(-w) with Dawson's integral D, since
     int sqrt(u) e^u du = e^u (sqrt(u) - D(sqrt(u))).  The branch follows the
-    sign bit, so lcr_u's K(s w) at s = 0 (a static link), where s w is +0.0
-    or -0.0 with the sign of w, takes the same branch as its K(w).
+    sign bit, so lcr_u's K(lambda sigma2) at a static link, where
+    lambda * 0.0 is +0.0 or -0.0 with the sign of lambda, takes the same
+    branch as the moving link's K.
     """
     if math.copysign(1.0, w) > 0.0:
         return 0.5 * math.sqrt(math.pi) * float(_sp.erfcx(math.sqrt(w))) + math.sqrt(w)
     return float(_sp.dawsn(math.sqrt(-w))) - math.sqrt(-w)
 
 
+# lcr_u's fixed rule on [0, 1], (node, weight) pairs as Python floats (a
+# loop over numpy scalars is 2x slower): 10 Gauss-Legendre nodes integrate
+# its entire integrand within 6.5e-16 where the exponent spans at most 1,
+# static links included; 9 nodes over a span of 1.5 are 6.3e-13 off (error
+# bound: Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed.,
+# 1984, sec. 2.7)
+_LCR_NODES, _LCR_WEIGHTS = _legendre_base(10)
+_LCR_RULE = tuple(zip((0.5 * _LCR_NODES + 0.5).tolist(), (0.5 * _LCR_WEIGHTS).tolist()))
+
+
 def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: float) -> float:
     """Downward level-crossing rate (Hz) of U(t) = sqrt(X^2(t) + Z^2(t)).
 
     X and Z are independent Rayleigh processes with mean squares omega_x,
-    omega_z and gain-derivative variances sigma2_x, sigma2_z.  U is
-    symmetric in its two links, so when sigma2_x == 0 (X static, Z moving)
-    the two are swapped first and X is always a moving link unless both are
-    static (rate 0).  The rate is
-    coef * e^{-g0^2/ox} * int_1^s sqrt(t) e^{w(1 - t)} dt with
-    s = sigma2_z / sigma2_x, evaluated in closed form by one of three paths:
+    omega_z and gain-derivative variances sigma2_x, sigma2_z.  With
+    sx, sz the square roots of the variances and cx = g0^2/ox, cz = g0^2/oz,
+    the rate is sqrt(2/pi) g0^3/(ox oz) J, where g0^2 splits between the two
+    links as (1 - v, v) in
+        J = int_0^1 sqrt((1 - v) sx^2 + v sz^2) e^{-(1 - v) cx - v cz} dv.
+    With r = sx + (sz - sx) u, so that v = u (sx + r)/(sx + sz),
+        J = 2/(sx + sz) int_0^1 r^2 e^{-cx - (cz - cx) v(u)} du,
+    a quadratic times the exp of a quadratic: symmetric in the links, exact
+    at sx = sz, smooth for a static link and free of any difference of
+    nearly equal terms.  J takes one of three paths:
 
-    - sigma2_x ~ sigma2_z (within _EQUAL_BRANCH_TOL), where coef and w blow
-      up: with t = 1 + hv, h = s - 1 and W = hw = g0^2 (1/oz - 1/ox), the
-      integral is h int_0^1 sqrt(1 + hv) e^{-Wv} dv.  sqrt(1 + hv) is taken
-      as (1 + h)^(v/2) = e^{lv}, l = log1p(h)/2, exact at v = 0 and 1 and
-      off by at most h^2/16 relative in between (h^2 v(1 - v)/4), so the
-      rate is g0^2/(ox oz) times exp's divided difference
-      _exp_dd(-g0^2/ox, l - g0^2/oz) at the integral's end exponents, for
-      every gain gap: omega_x = omega_z and h = 0 need no case of their
-      own and no exp overflows;
-    - |w| * max(1, s) <= 2, where the closed form below cancels: the power
-      series _i32_series (omega_x = omega_z gives w = 0 here);
-    - otherwise coef * [e^{-g0^2/ox} K(w) - e^{-g0^2/oz} K(s w)] / |w|^{3/2}
-      with K = _k32 (erfcx for w > 0, Dawson's integral for w < 0), using
-      e^{-g0^2/ox} e^{(1-s)w} = e^{-g0^2/oz}, so no factor can overflow.
+    - sigma2_x == sigma2_z: sx _exp_dd(-cx, -cz), exact;
+    - |cz - cx| <= 1: the u-form on the fixed 10-node rule _LCR_RULE;
+    - otherwise, with lambda = (cz - cx)/(sz^2 - sx^2) and K = _k32,
+      [e^{-cx} K(lambda sx^2) - e^{-cz} K(lambda sz^2)]
+      / ((sz^2 - sx^2) |lambda|^{3/2}).
+      Its two terms are the integrand's tails from each end of the
+      interval, which spans an exponent gap above 1, so the interval
+      holds more than 1 - e^{-1} of the larger tail and the difference
+      does not cancel at any variance gap.  A static link enters as
+      lambda * 0.0, whose sign bit _k32 reads.
 
+    g0 = 0 or two static links give 0.  g0^2/(ox oz) multiplies J before
+    g0 does, so a J that underflows to 0 at a huge g0 gives 0, not inf * 0.
     A NaN or infinite argument, g0 < 0, a gain <= 0 or a variance < 0
     raise ValueError.
     """
@@ -577,25 +570,25 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
         raise _domain_error(g0=g0, omega_x=omega_x, omega_z=omega_z, sigma2_x=sigma2_x, sigma2_z=sigma2_z)
     if g0 == 0.0 or sigma2_x + sigma2_z == 0.0:
         return 0.0
-    if sigma2_x == 0.0:
-        omega_x, omega_z, sigma2_x, sigma2_z = omega_z, omega_x, sigma2_z, sigma2_x
     g0sq = g0 * g0
+    cx, cz = g0sq / omega_x, g0sq / omega_z
     sx = math.sqrt(sigma2_x)
-
-    if _equalish(sigma2_x, sigma2_z):
-        # e^{-g0^2/ox} int_0^1 e^{-(W - l)v} dv, exponents -g0^2/ox at v = 0
-        # and l - g0^2/oz at v = 1
-        half_log_s = 0.5 * math.log1p((sigma2_z - sigma2_x) / sigma2_x)  # l
-        gap = g0sq / (omega_x * omega_z) * _exp_dd(-g0sq / omega_x, half_log_s - g0sq / omega_z)
-        return math.sqrt(2.0 / math.pi) * sx * g0 * gap
-
-    w = g0sq * (omega_x - omega_z) / (omega_x * omega_z) * sigma2_x / (sigma2_z - sigma2_x)
-    s = sigma2_z / sigma2_x
-    coef = math.sqrt(2.0 / math.pi) * (sx**3 / (sigma2_z - sigma2_x)) / (omega_x * omega_z) * g0sq * g0
-    if abs(w) * max(1.0, s) <= 2.0:
-        return coef * math.exp(w - g0sq / omega_x) * _i32_series(w, s)
-    diff = math.exp(-g0sq / omega_x) * _k32(w) - math.exp(-g0sq / omega_z) * _k32(s * w)
-    return coef * diff / abs(w) ** 1.5
+    if sigma2_x == sigma2_z:
+        j = sx * _exp_dd(-cx, -cz)
+    elif abs(cz - cx) <= 1.0:
+        sz = math.sqrt(sigma2_z)
+        ds, k = sz - sx, (cz - cx) / (sx + sz)
+        total = 0.0
+        for u, w in _LCR_RULE:
+            r = sx + ds * u
+            total += w * r * r * math.exp(-k * u * (sx + r))
+        j = 2.0 / (sx + sz) * math.exp(-cx) * total
+    else:
+        gap = sigma2_z - sigma2_x
+        lam = (cz - cx) / gap
+        tails = math.exp(-cx) * _k32(lam * sigma2_x) - math.exp(-cz) * _k32(lam * sigma2_z)
+        j = tails / (gap * abs(lam) ** 1.5)
+    return math.sqrt(2.0 / math.pi) * g0 * (g0sq / (omega_x * omega_z) * j)
 
 
 @scenario_term
@@ -650,16 +643,17 @@ def sr_switch_probs(g0: float, omega_x: float, omega_z: float) -> tuple[float, f
     rounding.  Only at omega_x == omega_z exactly does p3 take
     e^{-u} P(2, u), with the regularized lower gamma P: there the
     difference cancels as u -> 0.  Elsewhere p3 keeps about 2e-16/z
-    relative as z -> 0.  A NaN or infinite argument, g0 < 0 or a gain
-    <= 0 raise ValueError.
+    relative as z -> 0.  Where u overflows, the pair is its limit
+    (0, e^{-2z}), (0, 0) when z overflows too.  A NaN or infinite
+    argument, g0 < 0 or a gain <= 0 raise ValueError.
     """
     if not (0.0 <= g0 < math.inf and 0.0 < omega_x < math.inf and 0.0 < omega_z < math.inf):
         raise _domain_error(g0=g0, omega_x=omega_x, omega_z=omega_z)
-    if g0 == 0.0:
-        return 0.0, 0.0
     g0sq = g0 * g0
     u = g0sq / (2.0 * omega_x)
     z = g0sq / (2.0 * omega_z)
+    if u == math.inf:
+        return 0.0, math.exp(-2.0 * z)
     d = u * _exp_dd(-u, -z)
     # at omega_x == omega_z, -expm1(-u) - d is P(2, u), regularized lower gamma, free of its cancellation
     p3 = float(_sp.gammainc(2.0, u)) if omega_x == omega_z else max(-math.expm1(-u) - d, 0.0)

@@ -1,12 +1,13 @@
 """Gauss quadrature engines and a few special-function wrappers.
 
 Gauss-Legendre rules (gauss_legendre, mapped_legendre, and _legendre_base,
-which exact_metrics reads directly for the AF integrals) are generated by
-Newton iteration on the Legendre recurrence, so any order works; at order
-1024 this builds 3-4x faster than numpy's leggauss, whose weights are up
-to 1.2e-9 relative off there.  Gauss-Laguerre rules (gauss_laguerre)
-come from numpy's laggauss (Golub-Welsch); no metric uses one, they
-serve integrate_semi_infinite's consistency check and the tests.
+which exact_metrics reads directly for the AF integrals and lcr_u's fixed
+10-node rule) are generated by Newton iteration on the Legendre
+recurrence, so any order works; at order 1024 this builds 3-4x faster
+than numpy's leggauss, whose weights are up to 1.2e-9 relative off there.
+Gauss-Laguerre rules (gauss_laguerre) come from numpy's laggauss
+(Golub-Welsch); no metric uses one, they serve integrate_semi_infinite's
+consistency check and the tests.
 
 The package's one quadrature order loop lives here: `refine_blocks`
 raises the order of each block of a split integral separately

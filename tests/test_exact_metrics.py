@@ -589,9 +589,10 @@ class TestAuxiliaryGainStatistics:
         assert lcr_u(*case) == pytest.approx(lcr_u_quadrature_oracle(*case), rel=1e-11, abs=0.0)
 
     # (g0, ox, oz, h, rate) at sigma2_x = 1, sigma2_z = 1 + h: 50-digit mpmath
-    # of the integral behind lcr_u_quadrature_oracle.  |h| <= 1e-5 lies in the
-    # equal-variance window, where the s -> 1 limit alone is O(h) off (up to
-    # 3.9e-6 relative here); 1.1e-5 and 3e-5 lie just outside it
+    # of the integral behind lcr_u_quadrature_oracle.  Near equal variances
+    # the s -> 1 limit alone is O(h) off (up to 3.9e-6 relative here); h runs
+    # from 1e-7 to 3e-5, across the 1e-5 gap at which an earlier form
+    # switched from an equal-variance approximation to a power series
     @pytest.mark.parametrize(
         "g0, ox, oz, h, rate",
         [
@@ -616,7 +617,8 @@ class TestAuxiliaryGainStatistics:
         assert lcr_u(g0, ox, oz, 1.0, 1.0 + h) == pytest.approx(rate, rel=1e-9, abs=0.0)
 
     def test_lcr_u_limit_branch_continuity(self):
-        # values straddling the equal-parameter window stay within 1e-5 relative
+        # values at near-equal gains or variances stay within 1e-5 relative
+        # of the equal ones
         base = lcr_u(0.7, 1.0, 1.0, 2.0, 5.0)
         for eps in (1e-7, -1e-7, 1e-6, 1e-9):
             assert lcr_u(0.7, 1.0, 1.0 * (1.0 + eps), 2.0, 5.0) == pytest.approx(base, rel=1e-5)
@@ -626,7 +628,9 @@ class TestAuxiliaryGainStatistics:
             )
 
     def test_lcr_u_branch_boundary_seam(self):
-        # crossing the switch tolerance changes the value only at O(gap)
+        # gains 0.99e-5 and 1.01e-5 apart, either side of the 1e-5 relative
+        # gap at which earlier forms switched branch: the value changes only
+        # at O(gap)
         lo = lcr_u(0.7, 1.0, 1.0 * (1.0 + 0.99e-5), 2.0, 5.0)
         hi = lcr_u(0.7, 1.0, 1.0 * (1.0 + 1.01e-5), 2.0, 5.0)
         assert hi == pytest.approx(lo, rel=1e-4)
@@ -641,12 +645,12 @@ class TestAuxiliaryGainStatistics:
             (0.01, 5.0, 0.1, 7.0, 0.2),
             (10.0, 0.05, 5.0, 3.0, 3.0),  # equal derivative variances, wide gain gap
             # static X link (sigma2_x = 0): U's rate comes from Z alone, on
-            # each of the three paths
+            # each of the closed form's kernels and on the fixed rule
             (5.0, 0.3, 1.0, 0.0, 1.0),  # Dawson
             (3.0, 2.0, 0.4, 0.0, 1.0),  # erfcx
-            (0.5, 1.0, 2.0, 0.0, 3.0),  # series
-            # static Z link (sigma2_z = 0): K(s w) at s w = +0.0 stays on
-            # K(w)'s erfcx branch
+            (0.5, 1.0, 2.0, 0.0, 3.0),  # rule, |cz - cx| = 0.125
+            # static Z link (sigma2_z = 0): K(lambda sigma2_z) at
+            # lambda * 0.0 = +0.0 stays on K(lambda sigma2_x)'s erfcx branch
             (3.0, 0.4, 2.0, 1.0, 0.0),
         ],
     )
@@ -660,6 +664,37 @@ class TestAuxiliaryGainStatistics:
         f = z * np.sqrt(g0 * g0 * s2x + z * z * (s2z - s2x)) * np.exp(expo)
         ref = 4.0 / (math.sqrt(2.0 * math.pi) * ox * oz) * float(np.sum(rule.weights * f))
         assert lcr_u(*case) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    # (g0, ox, oz, sigma2_x, sigma2_z, rate): 50-digit mpmath of the
+    # integral in lcr_u's docstring at the same doubles.  A domain_grid row
+    # with variances 1.8e-5 apart (an earlier power series was 7.1e-12 off
+    # there); static X and static Z with cz - cx = +-0.9 (fixed rule) and
+    # +-1.1 (closed form); variances 2e-5 and 1e-4 apart with
+    # cz - cx ~ 0.67 and ~ 4.67; equal variances with cz - cx = 0, 1, 10
+    @pytest.mark.parametrize(
+        "case, rate",
+        [
+            ((0.015741958564841722, 5.6390609867407315, 5.6390609867407315, 4258.775056034173, 4258.852349092714),
+             6.3874572934495064e-6),
+            ((1.5, 2.0, 1.1111111111111112, 0.0, 3.0), 0.27234598825808759),
+            ((1.5, 2.0, 1.1111111111111112, 3.0, 0.0), 0.32558137581823218),
+            ((1.5, 2.0, 10.000000000000002, 0.0, 3.0), 0.08897788498858709),
+            ((1.5, 2.0, 10.000000000000002, 3.0, 0.0), 0.074429226670078468),
+            ((1.5, 2.0, 1.0112359550561798, 0.0, 3.0), 0.26919088437009994),
+            ((1.5, 2.0, 1.0112359550561798, 3.0, 0.0), 0.33454502242282381),
+            ((1.5, 2.0, 90.00000000000033, 0.0, 3.0), 0.011292458312843161),
+            ((1.5, 2.0, 90.00000000000033, 3.0, 0.0), 0.0090864506604578006),
+            ((0.8, 1.0, 0.48854961832061067, 2.0, 2.00004), 0.4544374317334604),
+            ((0.8, 1.0, 0.48854961832061067, 2.0, 2.0002), 0.45444551289664739),
+            ((0.8, 1.0, 0.12052730696798494, 2.0, 2.00004), 0.53614910855240375),
+            ((0.8, 1.0, 0.12052730696798494, 2.0, 2.0002), 0.53615349787771673),
+            ((2.0, 4.0, 4.0, 7.0, 7.0), 0.38829750850725325),
+            ((2.0, 4.0, 2.0, 7.0, 7.0), 0.4909016761386831),
+            ((2.0, 4.0, 0.36363636363636365, 7.0, 7.0), 0.42710786781040408),
+        ],
+    )
+    def test_lcr_u_against_mpmath(self, case, rate):
+        assert lcr_u(*case) == pytest.approx(rate, rel=1e-13, abs=0.0)
 
     def test_lcr_u_large_negative_exponent(self):
         # -30 dB, strong direct link: w ~ -5.4e4; 80-digit mpmath value of
@@ -738,6 +773,11 @@ class TestSelectionRelaying:
         p3, _ = sr_switch_probs(1.0, 1.0 / 1400.0, 1.0 / 1400.0)  # u = 700
         assert p3 == pytest.approx(9.85967654375977e-305, rel=1e-12, abs=0.0)
         assert sr_switch_probs(1.0, 1.0 / 1600.0, 1.0 / 1600.0) == (0.0, 0.0)  # u = 800
+
+    def test_switch_probabilities_where_u_overflows(self):
+        # u = g0^2/(2 omega_x) = inf: the limit (0, e^-2z), (0, 0) once z = inf too
+        assert sr_switch_probs(1.0, 1e-310, 1.0) == (0.0, math.exp(-1.0))
+        assert sr_switch_probs(1.0, 1e-310, 1e-310) == (0.0, 0.0)
 
     # (g0, omega_z, p4) at omega_x = 1: 50-digit mpmath of the two-branch
     # form at the same doubles.  Inside the 1e-5 equal-gain window a
