@@ -15,6 +15,7 @@ term: computed once per Scenario instance and kept on it the same way.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, wraps
 
@@ -29,6 +30,10 @@ __all__ = [
     "rayleigh_cdf",
     "rayleigh_lcr",
 ]
+
+
+# e^{-c} is a normal float for c up to -log of the smallest one, 708.396...
+_EXP_NORMAL = -math.log(sys.float_info.min)
 
 
 class MobilityError(ValueError):
@@ -228,9 +233,17 @@ def rayleigh_lcr(level: float, omega: float, sigma2: float) -> float:
     Rice's formula for an envelope with mean square omega whose underlying
     quadratures have derivative variance sigma2:
         sqrt(2 * sigma2 / pi) * (level / omega) * exp(-level^2 / omega).
-    A NaN or infinite argument, level or sigma2 < 0, or omega <= 0 raise
-    ValueError.
+    Where exp(-level^2 / omega) is not a normal float, the three factors
+    meet as one exp of the sum of their logs, so level / omega > 1 lifts
+    the result without losing digits and an overflowing level / omega
+    gives 0, not inf * 0.  A NaN or infinite argument, level or sigma2 < 0,
+    or omega <= 0 raise ValueError.
     """
     if not (0.0 <= level < math.inf and 0.0 < omega < math.inf and 0.0 <= sigma2 < math.inf):
         raise _domain_error(level=level, omega=omega, sigma2=sigma2)
-    return math.sqrt(2.0 * sigma2 / math.pi) * (level / omega) * math.exp(-level * level / omega)
+    c = level * level / omega
+    if c <= _EXP_NORMAL:
+        return math.sqrt(2.0 * sigma2 / math.pi) * (level / omega) * math.exp(-c)
+    if sigma2 == 0.0:
+        return 0.0
+    return math.exp(0.5 * math.log(sigma2 * (2.0 / math.pi)) + math.log(level) - math.log(omega) - c)

@@ -68,7 +68,7 @@ from operator import attrgetter
 import numpy as np
 from scipy import special as _sp
 
-from .channel import MobilityError, Scenario, _domain_error, rayleigh_lcr, scenario_term
+from .channel import _EXP_NORMAL, MobilityError, Scenario, _domain_error, rayleigh_lcr, scenario_term
 from .numerics import _TINY, _legendre_base, refine_blocks
 
 __all__ = [
@@ -532,6 +532,63 @@ def _k32(w: float) -> float:
 # 1984, sec. 2.7)
 _LCR_NODES, _LCR_WEIGHTS = _legendre_base(10)
 _LCR_RULE = tuple(zip((0.5 * _LCR_NODES + 0.5).tolist(), (0.5 * _LCR_WEIGHTS).tolist()))
+# beyond |w| = e^40, _k32(w) is sign(w) sqrt|w| to a relative 1/(2|w|) < 3e-18
+_K32_LOG_FLAT = 40.0
+
+
+def _lcr_rule(s0: float, s1: float, dc: float) -> float:
+    """int_0^1 r^2 e^{-dc v(u)} du of lcr_u's u-form on _LCR_RULE, from link 0's end.
+
+    r = s0 + (s1 - s0) u and v = u (s0 + r)/(s0 + s1), where dc = c1 - c0
+    spans at most 1.
+    """
+    ds, k = s1 - s0, dc / (s0 + s1)
+    total = 0.0
+    for u, w in _LCR_RULE:
+        r = s0 + ds * u
+        total += w * r * r * math.exp(-k * u * (s0 + r))
+    return total
+
+
+def _lcr_u_logs(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: float) -> float:
+    """lcr_u where its direct evaluation under- or overflows: one exp of the rate's log.
+
+    With a the link of smaller c = g0^2/omega, b the other and d = cb - ca,
+    the rate is sqrt(2/pi) g0^3/(ox oz) e^{-ca} Jh with Jh = e^{ca} J, and
+    every factor enters as its log, so neither a subnormal e^{-ca} nor an
+    overflowing cb, lambda or |lambda|^{3/2} costs digits.  Where d <= 1, Jh
+    is lcr_u's own first two paths with e^{-ca} left out.  Elsewhere, with
+    q = (sb^2 - sa^2)/d,
+        Jh = int_0^d sqrt(sa^2 + t q) e^{-t} dt / d = (|Ma| - e^{-d} |Mb|) / d,
+    where M(s) = sqrt|q| _k32(s^2/q) is the tail of the link with derivative
+    deviation s (lcr_u's closed form with lambda = 1/q), taken as s itself
+    where |s^2/q| > e^40 and q may underflow; log d comes from the gains
+    where cb overflows.  Equal variances (q = 0) take that limit exactly.
+    """
+    g0sq = g0 * g0
+    (ca, oa, s2a), (cb, ob, s2b) = sorted(((g0sq / omega_x, omega_x, sigma2_x), (g0sq / omega_z, omega_z, sigma2_z)))
+    if ca == math.inf:
+        return 0.0
+    log_nu = 0.5 * math.log(2.0 / math.pi) + 3.0 * math.log(g0) - math.log(omega_x) - math.log(omega_z) - ca
+    d = cb - ca
+    if d <= 1.0:
+        sa, sb = math.sqrt(s2a), math.sqrt(s2b)
+        jh = sa * _exprel(-d) if s2a == s2b else 2.0 / (sa + sb) * _lcr_rule(sa, sb, d)
+        return math.exp(log_nu + math.log(jh))
+    log_d = math.log(d) if d < math.inf else 2.0 * math.log(g0) - math.log(ob) + math.log1p(-ob / oa)
+    gap = s2b - s2a
+    log_q = math.log(abs(gap)) - log_d if gap else -math.inf
+
+    def log_m(s2: float) -> float:
+        if s2 == 0.0:  # _k32(+0.0) = sqrt(pi)/2, _k32(-0.0) = 0
+            return 0.5 * log_q + math.log(_k32(0.0)) if gap > 0.0 else -math.inf
+        log_w = math.log(s2) - log_q
+        if log_w > _K32_LOG_FLAT:
+            return 0.5 * math.log(s2)
+        return 0.5 * log_q + math.log(abs(_k32(math.copysign(math.exp(log_w), gap))))
+
+    log_a = log_m(s2a)
+    return math.exp(log_nu - log_d + log_a + math.log1p(-math.exp(log_m(s2b) - d - log_a)))
 
 
 def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: float) -> float:
@@ -572,23 +629,24 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
         return 0.0
     g0sq = g0 * g0
     cx, cz = g0sq / omega_x, g0sq / omega_z
+    if cx > _EXP_NORMAL and cz > _EXP_NORMAL:
+        return _lcr_u_logs(g0, omega_x, omega_z, sigma2_x, sigma2_z)
     sx = math.sqrt(sigma2_x)
-    if sigma2_x == sigma2_z:
-        j = sx * _exp_dd(-cx, -cz)
-    elif abs(cz - cx) <= 1.0:
-        sz = math.sqrt(sigma2_z)
-        ds, k = sz - sx, (cz - cx) / (sx + sz)
-        total = 0.0
-        for u, w in _LCR_RULE:
-            r = sx + ds * u
-            total += w * r * r * math.exp(-k * u * (sx + r))
-        j = 2.0 / (sx + sz) * math.exp(-cx) * total
-    else:
-        gap = sigma2_z - sigma2_x
-        lam = (cz - cx) / gap
-        tails = math.exp(-cx) * _k32(lam * sigma2_x) - math.exp(-cz) * _k32(lam * sigma2_z)
-        j = tails / (gap * abs(lam) ** 1.5)
-    return math.sqrt(2.0 / math.pi) * g0 * (g0sq / (omega_x * omega_z) * j)
+    try:
+        if sigma2_x == sigma2_z:
+            j = sx * _exp_dd(-cx, -cz)
+        elif abs(cz - cx) <= 1.0:
+            sz = math.sqrt(sigma2_z)
+            j = 2.0 / (sx + sz) * math.exp(-cx) * _lcr_rule(sx, sz, cz - cx)
+        else:
+            gap = sigma2_z - sigma2_x
+            lam = (cz - cx) / gap
+            tails = math.exp(-cx) * _k32(lam * sigma2_x) - math.exp(-cz) * _k32(lam * sigma2_z)
+            j = tails / (gap * abs(lam) ** 1.5)
+        nu = math.sqrt(2.0 / math.pi) * g0 * (g0sq / (omega_x * omega_z) * j)
+    except (OverflowError, ZeroDivisionError):
+        nu = math.nan
+    return nu if _TINY <= nu < math.inf else _lcr_u_logs(g0, omega_x, omega_z, sigma2_x, sigma2_z)
 
 
 @scenario_term

@@ -30,7 +30,16 @@ the protocol or the SNR.  validate therefore draws each (realization,
 link) envelope once per Scenario instance and keeps it on the instance
 (_cached_link), so validating every protocol of one scenario composes the
 same samples: common random numbers across protocols, with every value
-bit-identical to a fresh draw.  gen_link_traces draws afresh on each call.
+bit-identical to a fresh draw.  The kept envelopes of one TraceConfig
+share one float64 array of shape (n_realizations, 3, n_samples), allocated
+with the store (_TraceStore); each draw writes its row in place, and
+direct-only validation writes link 0's rows only.  One allocation per
+store instead of one per draw also spares the memory system: on glibc,
+freeing it raises malloc's dynamic mmap and trim thresholds to its size,
+so scenario after scenario reuses the heap's pages (a warm pass of the
+benchmark's mc_oracle workload, 4 x 65,536 samples, took 2,016 minor page
+faults with one array per draw and takes none).  gen_link_traces draws
+afresh on each call.
 DF and SR both test U = sqrt(x^2 + z^2) < g0 on the same samples, so that
 mask is computed once per realization and kept beside the envelopes.  It
 is decided on squares (_hypot_below): x*x + z*z against g0*g0 wherever
@@ -235,6 +244,21 @@ def gen_m2m_rayleigh(
     studies).  A NaN or infinite omega, f_tx or f_rx, a negative Doppler
     or omega <= 0 raise ValueError.
     """
+    return _m2m_envelope(omega, f_tx, f_rx, cfg, dt, realization, link, static_fallback)
+
+
+def _m2m_envelope(
+    omega: float,
+    f_tx: float,
+    f_rx: float,
+    cfg: TraceConfig,
+    dt: float | None,
+    realization: int,
+    link: int,
+    static_fallback: bool,
+    out: np.ndarray | None = None,
+) -> FadingTrace:
+    """gen_m2m_rayleigh, with the samples written into out (n_samples float64) when given."""
     if not (0.0 < omega < math.inf and 0.0 <= f_tx < math.inf and 0.0 <= f_rx < math.inf):
         raise _domain_error(omega=omega, f_tx=f_tx, f_rx=f_rx)
     rng = _link_rng(cfg.seed, realization, link)
@@ -242,11 +266,14 @@ def gen_m2m_rayleigh(
         if not static_fallback:
             raise StaticLinkError("both terminal Dopplers are zero")
         level = rng.rayleigh(np.sqrt(omega / 2.0))
-        return FadingTrace(dt=dt or 1.0, samples=np.full(cfg.n_samples, level))
+        if out is None:
+            out = np.empty(cfg.n_samples)
+        out.fill(level)
+        return FadingTrace(dt=dt or 1.0, samples=out)
     if dt is None:
         dt = 1.0 / (cfg.oversampling * (f_tx + f_rx))
     h = gen_complex_gain(omega, f_tx, f_rx, cfg.n_samples, dt, rng, cfg.n_sinusoids)
-    return FadingTrace(dt=dt, samples=np.abs(h))
+    return FadingTrace(dt=dt, samples=np.abs(h, out=out))
 
 
 def scenario_dt(scenario: Scenario, cfg: TraceConfig) -> float:
@@ -258,15 +285,17 @@ def scenario_dt(scenario: Scenario, cfg: TraceConfig) -> float:
     return 1.0 / (cfg.oversampling * spread)
 
 
-def _link_trace(scenario: Scenario, cfg: TraceConfig, dt: float, realization: int, link: int) -> FadingTrace:
-    """Envelope of link 0 (S->D), 1 (S->R) or 2 (R->D) on its own keyed stream."""
+def _link_trace(
+    scenario: Scenario, cfg: TraceConfig, dt: float, realization: int, link: int, out: np.ndarray | None = None
+) -> FadingTrace:
+    """Envelope of link 0 (S->D), 1 (S->R) or 2 (R->D) on its own keyed stream, into out if given."""
     d, g = scenario.dopplers, scenario.gains
     omega, f_tx, f_rx = (
         (g.omega_x, d.f_s, d.f_d),
         (g.omega_y, d.f_s, d.f_r),
         (g.omega_z, d.f_r, d.f_d),
     )[link]
-    return gen_m2m_rayleigh(omega, f_tx, f_rx, cfg, dt=dt, realization=realization, link=link)
+    return _m2m_envelope(omega, f_tx, f_rx, cfg, dt, realization, link, False, out)
 
 
 def gen_link_traces(
@@ -281,32 +310,54 @@ def gen_link_traces(
     return tuple(_link_trace(scenario, cfg, dt, realization, link) for link in range(3))
 
 
-def _cached(scenario: Scenario, cfg: TraceConfig, key, make) -> np.ndarray:
-    """make(), computed once per Scenario and cfg and kept read-only: validate's trace store.
+class _TraceStore(dict):
+    """validate's trace store for one cfg: {key: read-only array}.
 
-    Kept in the instance __dict__ under "_traces" as (cfg, {key: array}),
+    envelopes is one float64 array of shape (n_realizations, 3, n_samples),
+    allocated with the store since cfg fixes its size; the (realization,
+    link) entry is a read-only view of row [realization, link], drawn into
+    it in place.  It is an attribute, not an entry, so the store's entries
+    are the drawn links and the kept masks only.
+    """
+
+    def __init__(self, cfg: TraceConfig):
+        super().__init__()
+        self.envelopes = np.empty((cfg.n_realizations, 3, cfg.n_samples))
+
+
+def _cached(scenario: Scenario, cfg: TraceConfig, key, make) -> np.ndarray:
+    """make(store), computed once per Scenario and cfg and kept read-only: validate's trace store.
+
+    Kept in the instance __dict__ under "_traces" as (cfg, _TraceStore),
     like the terms of channel.scenario_term: not a field, so equality,
     hashing, repr and dataclasses.replace ignore it.  It is a cache of its
     own, since it is keyed by the call's arguments.  A different cfg
-    replaces the whole set, so a scenario holds at most one.  The arrays
-    are read-only, since every protocol composes the same ones.
+    replaces the whole store, envelope array included, so a scenario holds
+    at most one.  The store's envelope array (3 * n_realizations *
+    n_samples float64, 6.3 MB at 4 x 65,536) is allocated with it; see the
+    module docstring for why it is one array.  The entries are read-only,
+    since every protocol composes the same ones.  A make() that raises
+    keeps nothing.
     """
     terms = scenario.__dict__
     traces = terms.get("_traces")
     if traces is None or traces[0] != cfg:
-        traces = terms["_traces"] = (cfg, {})
+        traces = terms["_traces"] = (cfg, _TraceStore(cfg))
     store = traces[1]
     value = store.get(key)
     if value is None:
-        value = store[key] = make()
+        value = store[key] = make(store)
         value.setflags(write=False)
     return value
 
 
 def _cached_link(scenario: Scenario, cfg: TraceConfig, dt: float, realization: int, link: int) -> np.ndarray:
-    """Samples of _link_trace(scenario, cfg, dt, realization, link), drawn once per Scenario."""
+    """Samples of _link_trace(scenario, cfg, dt, realization, link), drawn once per Scenario into its store row."""
     return _cached(
-        scenario, cfg, (realization, link), lambda: _link_trace(scenario, cfg, dt, realization, link).samples
+        scenario,
+        cfg,
+        (realization, link),
+        lambda store: _link_trace(scenario, cfg, dt, realization, link, store.envelopes[realization, link]).samples,
     )
 
 
@@ -378,7 +429,7 @@ def _outage_mask(
         return x < level
     y, z = link(1), link(2)
     if protocol is Protocol.DF or protocol is Protocol.SR:
-        u_below = _cached(scenario, cfg, (realization, "u_below"), lambda: _hypot_below(x, z, level))
+        u_below = _cached(scenario, cfg, (realization, "u_below"), lambda _: _hypot_below(x, z, level))
         if protocol is Protocol.DF:
             return (y < level) | u_below
         return np.where(y <= th.y0, np.sqrt(2.0) * x < level, u_below)
@@ -585,9 +636,11 @@ def validate(
     relative half-width 2^-48 and by hypot inside it (_hypot_below).
     Direct transmission reads only the S->D trace (its equivalent gain), so
     it needs no moving relay; AF, DF and SR add the S->R and R->D traces.
-    The kept arrays cost 3 * n_realizations * n_samples float64, plus
-    n_realizations * n_samples bytes once DF or SR ran, until the scenario
-    is dropped or validated under another cfg.  zero_c1 drops the AF relay
+    The kept arrays cost one (n_realizations, 3, n_samples) float64 array,
+    allocated on the first call under a cfg even where only direct
+    transmission (link 0) is drawn, plus n_realizations * n_samples bytes
+    once DF or SR ran, until the scenario is dropped or validated under
+    another cfg, which replaces them.  zero_c1 drops the AF relay
     gain constant to its high-SNR limit (the trace side only), which
     checks the idealised relayed-path composition.
     """

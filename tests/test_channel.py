@@ -223,6 +223,23 @@ class TestRayleighLcr:
         assert got == pytest.approx(math.sqrt(2.0 * math.pi) * math.exp(-1.0), rel=1e-14)
         assert got == pytest.approx(0.92214, abs=5e-6)
 
+    @pytest.mark.parametrize(
+        "args, rate",
+        [
+            # level/omega overflows where exp(-level^2/omega) is 0 (nan before)
+            ((1.0, 1e-310, 1.0), 0.0),
+            # exp(-level^2/omega) subnormal, lifted by level/omega: 50-digit
+            # mpmath, the last one a domain_grid edge row that underflowed to 0
+            ((29.2, 1.2, 5.0), 1.1400418495809196e-307),
+            ((3.0, 0.0124, 5.0), 2.6386863347607838e-313),
+            ((21.876627267486572, 0.6405445472454009, 1030.534456230465), 2.8582080674878833e-322),
+        ],
+    )
+    def test_subnormal_exponential(self, args, rate):
+        # within one unit in the last place of the float nearest the rate
+        ulp = math.ulp(rate)
+        assert abs(rayleigh_lcr(*args) - rate) <= max(ulp, 1e-12 * rate)
+
     def test_quadrupled_derivative_variance_doubles_rate(self):
         for level in (0.2, 0.9, 2.1):
             assert rayleigh_lcr(level, 1.3, 4.0 * 0.8) == pytest.approx(

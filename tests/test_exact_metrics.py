@@ -696,6 +696,41 @@ class TestAuxiliaryGainStatistics:
     def test_lcr_u_against_mpmath(self, case, rate):
         assert lcr_u(*case) == pytest.approx(rate, rel=1e-13, abs=0.0)
 
+    # (g0, ox, oz, sigma2_x, sigma2_z, rate, rel): 50-digit mpmath where the
+    # direct evaluation under- or overflows.  As ox -> 0 (or oz -> 0) the
+    # rate tends to the other link's Rayleigh rate, rayleigh_lcr(1, 1, 2) =
+    # sqrt(4/pi) e^{-1} and rayleigh_lcr(1, 1, 1): cx overflows (nan before),
+    # |lambda|^{3/2} overflows (OverflowError before), equal variances and a
+    # static link at an overflowing c; a static link of smaller c, whose
+    # rate scales with sqrt(q); variances 1e-300 and 3e-300 (lambda
+    # overflows); both c above 708.4 with |cz - cx| <= 1, unequal and equal
+    # variances; g0^3 subnormal; three domain_grid edge rows whose
+    # e^{-min(cx, cz)} is subnormal (3.8e-308, 7.1e-312 and 9.2e-315; the
+    # last is 1e-9 coarse in the subnormal range)
+    @pytest.mark.parametrize(
+        "case, rate, rel",
+        [
+            ((1.0, 1e-310, 1.0, 1.0, 2.0), 0.41510749742059470, 1e-12),
+            ((1.0, 1e-300, 1.0, 1.0, 2.0), 0.41510749742059470, 1e-12),
+            ((1.0, 1e-310, 1.0, 1.0, 1.0), 0.29352532634747980, 1e-12),
+            ((1.0, 1.0, 1e-300, 1.0, 0.0), 0.29352532634747980, 1e-12),
+            ((1.0, 1e-300, 1.0, 2.0, 0.0), 3.6787944117144233e-151, 1e-12),
+            ((2.0, 1e-3, 1.0, 1e-300, 3e-300), 5.0670015448628876e-152, 1e-12),
+            ((29.2, 1.2, 1.201, 1.0, 3.0), 7.0788329848524957e-305, 1e-12),
+            ((29.2, 1.2, 1.201, 2.0, 2.0), 6.981633203657585e-305, 1e-12),
+            ((1e-103, 1.0, 1.0, 1.0, 2.0), 9.725825155921064e-310, 1e-12),
+            ((35.35145582403373, 1.7514902155218262, 0.2678237975485103, 228.15784709382044, 16.98304456704156),
+             3.7997147654922201e-308, 1e-12),
+            ((38.599574129829996, 0.29260740436363725, 2.060470397708411, 280.7858336782566, 1978.2083327973955),
+             7.0895919141331111e-312, 1e-12),
+            ((50.15597248930373, 0.45696726088678064, 3.4568010945572594, 81.55870424508754, 60.28994145373131),
+             9.2408906940069592e-315, 1e-9),
+        ],
+    )
+    def test_lcr_u_where_its_direct_form_under_or_overflows(self, case, rate, rel):
+        assert lcr_u(*case) == pytest.approx(rate, rel=rel, abs=0.0)
+        assert lcr_u(*case) == pytest.approx(lcr_u(case[0], case[2], case[1], case[4], case[3]), rel=rel, abs=0.0)
+
     def test_lcr_u_large_negative_exponent(self):
         # -30 dB, strong direct link: w ~ -5.4e4; 80-digit mpmath value of
         # the closed form at the same double arguments

@@ -514,6 +514,35 @@ class TestTraceReuse:
         cfg, store = sc.__dict__["_traces"]
         assert cfg == other and all(key[1] != "u_below" for key in store)
 
+    def test_links_are_views_of_one_array_per_store(self):
+        sc = self.scenario()
+        for protocol in Protocol:
+            validate(sc, protocol, self.CFG)
+        _, store = sc.__dict__["_traces"]
+        envelopes = store.envelopes
+        shape = (self.CFG.n_realizations, 3, self.CFG.n_samples)
+        assert envelopes.shape == shape and envelopes.dtype == np.float64
+        links = {key: samples for key, samples in store.items() if key[1] != "u_below"}
+        assert len(links) == 3 * self.CFG.n_realizations
+        for (r, link), samples in links.items():
+            assert samples.base is envelopes and np.shares_memory(samples, envelopes[r, link])
+            assert not samples.flags.writeable
+            assert np.array_equal(samples, gen_link_traces(sc, self.CFG, realization=r)[link].samples)
+        other = dataclasses.replace(self.CFG, seed=6)
+        validate(sc, Protocol.AF, other)
+        _, store = sc.__dict__["_traces"]
+        assert store.envelopes.shape == shape and not np.shares_memory(store.envelopes, envelopes)
+        assert all(samples.base is store.envelopes for samples in store.values())
+
+    def test_static_relay_draws_only_link_0(self):
+        sc = self.scenario(dopplers=(0.0, 0.0, 1.0))
+        validate(sc, Protocol.DIRECT, self.CFG)
+        with pytest.raises(StaticLinkError):
+            validate(sc, Protocol.AF, self.CFG)
+        _, store = sc.__dict__["_traces"]
+        assert sorted(store) == [(r, 0) for r in range(self.CFG.n_realizations)]
+        assert all(np.shares_memory(store[r, 0], store.envelopes[r, 0]) for r in range(self.CFG.n_realizations))
+
     def test_static_relay_keeps_the_direct_traces(self, draws):
         # --doppler 0,0,1: AF fails on the static S-R link after direct filled link 0
         sc = self.scenario(dopplers=(0.0, 0.0, 1.0))
