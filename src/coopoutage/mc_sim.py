@@ -14,12 +14,23 @@ of the two terminal J0 Doppler factors.  Random streams are counter-based
 (Philox) keyed by (seed, realization, link): links and realizations are
 independent and reproducible regardless of chunking or execution order.
 
-The sum of sinusoids is evaluated in blocks of B samples as one complex
-matrix product: h[bB + j] = sum_k e^{i(w_k bB dt + phi_k)} * amp e^{i w_k j dt},
-an (n/B x N) block-start factor times an (N x B) in-block factor.  Each
-factor comes from two small tables: with j = 16 j_hi + j_lo, the in-block
-phasor is e^{i w_k 16 j_hi dt} * amp e^{i w_k j_lo dt}, and a block start
-is the product's first-sample phasor e^{i(w_k b0 B dt + phi_k)} times the
+The sum of sinusoids is evaluated in blocks of B samples, t = t_b + tau
+with t_b = bB dt and tau = j dt.  An even ray count N gives an antipodal
+ray set (see _coprime_stride): ray k + N/2 runs at exactly -w_k.  With
+s = e^{i w_k t_b}, E = e^{i w_k tau} and the rays' coefficients c =
+amp e^{i phi_k} and c' = amp e^{i phi_{k+N/2}}, each pair is one cosine
+and one sine: h = sum_{k<N/2} Re(s) U_k(tau) + Im(s) V_k(tau) with
+U = cE + c' conj(E) and V = i(cE - c' conj(E)).  So each product of at
+most 2^20 samples is one real matrix product, the (n/B x N) block-start
+factor [Re s_k, Im s_k] times the (N x 2B) in-block factor, the complex
+rows U_k, V_k viewed as float64, written straight into the float64 view
+of the complex trace: half the flops of the complex product of the
+(n/B x N) block-start phasors and the (N x B) in-block phasors.  An odd
+count has no partners and goes through the same product with all N
+frequencies and c' = 0 (U = cE, V = icE), at a complex product's flops.
+Each phasor comes from two small tables: with j = 16 j_hi + j_lo, the
+in-block phasor is e^{i w_k 16 j_hi dt} * e^{i w_k j_lo dt}, and a block
+start is the product's first-sample phasor e^{i w_k b0 B dt} times the
 same split of its row index.  Every entry is a product of two or three
 phasors computed directly from the sample index, never by repeated
 phasor multiplication, so rounding error stays at the level of a few
@@ -150,25 +161,31 @@ def _link_rng(seed: int, realization: int, link: int) -> np.random.Generator:
 
 
 def _coprime_stride(n: int) -> int:
-    """Smallest stride r with gcd(r, n) = 1 and r != +-1 (mod n)."""
+    """Smallest stride r with gcd(r, n) = 1 and r != +-1 (mod n).
+
+    An even n forces an odd r, so r * n/2 = n/2 (mod n): ray k + n/2 then
+    has both angles of ray k turned by pi, and its Doppler is -w_k.  The
+    ray set is antipodal, which gen_complex_gain folds into pairs.
+    """
     for r in range(2, n):
         if np.gcd(r, n) == 1 and (r - 1) % n != 0 and (r + 1) % n != 0:
             return r
     raise ValueError(f"no usable stride for n_sinusoids={n}")
 
 
-def _phasor_table(omega_ray: np.ndarray, step: float, n: int, scale) -> np.ndarray:
-    """(N x n) table scale_k * e^{i w_k j step}, j < n, from two small tables.
+def _phasor_table(omega_ray: np.ndarray, step: float, n: int, scale=1.0) -> np.ndarray:
+    """(n x K) table scale_k * e^{i w_k j step}, j < n, from two small tables.
 
     With j = _SPLIT*j_hi + j_lo, each entry is e^{i w_k _SPLIT j_hi step}
     times scale_k e^{i w_k j_lo step}: ceil(n/_SPLIT) + _SPLIT complex
     exponentials per ray instead of n, and every entry is still a product
-    of phasors taken straight from its index, with no recurrence.
+    of phasors taken straight from its index, with no recurrence.  The
+    table is C-contiguous, one row per j.
     """
     n_hi = -(-n // _SPLIT)
-    hi = np.exp(1j * np.outer(omega_ray, np.arange(n_hi) * (_SPLIT * step)))
-    lo = scale * np.exp(1j * np.outer(omega_ray, np.arange(_SPLIT) * step))
-    return (hi[:, :, None] * lo[:, None, :]).reshape(len(omega_ray), n_hi * _SPLIT)[:, :n]
+    hi = np.exp(1j * np.outer(np.arange(n_hi) * (_SPLIT * step), omega_ray))
+    lo = scale * np.exp(1j * np.outer(np.arange(_SPLIT) * step, omega_ray))
+    return (hi[:, None, :] * lo[None, :, :]).reshape(n_hi * _SPLIT, len(omega_ray))[:n]
 
 
 def gen_complex_gain(
@@ -196,29 +213,43 @@ def gen_complex_gain(
     angles would leave the effective Doppler spread of one realization
     randomly offset by O(1/sqrt(n_sinusoids)).
 
-    Evaluation is blocked (see the module docstring): the phasors of the
-    block starts and of the in-block offsets are products of entries of
-    two small tables (_phasor_table), each taken straight from the sample
-    index, so the deviation from a per-sample cos/sin sum is the rounding
-    of a few phase arguments (within 2.3e-12 at 65,537 samples and 3.4e-11
-    at 1.05e6 samples), not an accumulation.
+    With an even ray count the set is antipodal (see _coprime_stride):
+    w_k is computed for k < N/2 only and ray k + N/2 runs at exactly -w_k.
+    Evaluation is blocked and folds each such pair (see the module
+    docstring) into one real matrix product at half the flops of a complex
+    one.  An odd count has no partners: the same product with c' = 0 does
+    a complex product's flops.  The block-start and in-block phasors are
+    products of entries of two small tables (_phasor_table), each taken
+    straight from the sample index, so the deviation from a per-ray cos/sin
+    sum with antipodal frequencies is the rounding of a few phase arguments
+    (within 2.4e-12 at 65,537 samples and 3.4e-11 at 1.05e6 samples, 16 to
+    64 rays), not an accumulation.  A partner's frequency differs from the unfolded one by
+    one rounding, about 1e-16 relative; against the unfolded frequencies
+    the deviation is within 3.2e-12 and 5.9e-11.
     """
     u_alpha, u_beta = rng.uniform(0.0, 1.0, 2)
-    idx = np.arange(n_sinusoids)
+    n_tab = n_sinusoids // 2 if n_sinusoids % 2 == 0 else n_sinusoids  # rays in the tables
+    idx = np.arange(n_tab)
     r = _coprime_stride(n_sinusoids)
     alpha = 2.0 * np.pi * (idx + u_alpha) / n_sinusoids
     beta = 2.0 * np.pi * ((r * idx) % n_sinusoids + u_beta) / n_sinusoids
     phi = rng.uniform(0.0, 2.0 * np.pi, n_sinusoids)
     omega_ray = 2.0 * np.pi * (f_tx * np.cos(alpha) + f_rx * np.cos(beta))
-    amp = np.sqrt(omega / n_sinusoids)
-    in_block = _phasor_table(omega_ray, dt, _BLOCK, amp)
+    coef = np.sqrt(omega / n_sinusoids) * np.exp(1j * phi)  # c_k, then c'_k of the partners
+    # in-block table: row 2k is U_k = c E + c' conj(E), row 2k+1 is V_k = i c E - i c' conj(E)
+    e = _phasor_table(omega_ray, dt, _BLOCK).T
+    uv = (coef[:n_tab, None] * [1.0, 1j])[:, :, None] * e[:, None, :]
+    n_pairs = n_sinusoids - n_tab  # no partners for an odd count
+    uv[:n_pairs] += (coef[n_tab:, None] * [1.0, -1j])[:, :, None] * e[:n_pairs, None, :].conj()
+    in_block = uv.reshape(2 * n_tab, _BLOCK).view(np.float64)
     n_blocks = -(-n_samples // _BLOCK)
     out = np.empty(n_blocks * _BLOCK, dtype=np.complex128)
-    rows = out.reshape(n_blocks, _BLOCK)
+    rows = out.view(np.float64).reshape(n_blocks, 2 * _BLOCK)
     for b0 in range(0, n_blocks, _BLOCK_ROWS):
         b1 = min(b0 + _BLOCK_ROWS, n_blocks)
-        start = np.exp(1j * (omega_ray * (b0 * _BLOCK * dt) + phi))
-        block_start = _phasor_table(omega_ray, _BLOCK * dt, b1 - b0, start[:, None]).T
+        start = np.exp(1j * (omega_ray * (b0 * _BLOCK * dt)))
+        # columns Re(s_k), Im(s_k) interleaved, as the rows of in_block
+        block_start = _phasor_table(omega_ray, _BLOCK * dt, b1 - b0, start).view(np.float64)
         np.matmul(block_start, in_block, out=rows[b0:b1])
     return out[:n_samples]
 
@@ -413,7 +444,11 @@ def _outage_mask(
     Direct, DF and SR take mask shortcuts, each the same test sample by
     sample: direct tests x < x0, DF tests min(y, U) < g0 as y < g0 or
     U < g0, and SR selects between sqrt(2)*x < g0 and U < g0 on y <= y0,
-    with U = hypot(x, z).  DF and SR read one mask U < g0 per realization,
+    with U = hypot(x, z).  SR's selection is (off & sqrt(2)*x < g0) |
+    (U < g0 & ~off) with off = y <= y0, so a NaN y is not off and takes
+    U < g0, as np.where would; on boolean arrays np.where costs about 20
+    times these three logical operations (380 against 17 us per 65,536
+    samples, 2-vCPU VM).  DF and SR read one mask U < g0 per realization,
     _hypot_below(x, z, g0): np.hypot(x, z) < g0 bit for bit, decided on
     squares outside a band of relative half-width 2^-48 and by hypot
     inside it.  It is kept in the trace store under (realization,
@@ -432,7 +467,8 @@ def _outage_mask(
         u_below = _cached(scenario, cfg, (realization, "u_below"), lambda _: _hypot_below(x, z, level))
         if protocol is Protocol.DF:
             return (y < level) | u_below
-        return np.where(y <= th.y0, np.sqrt(2.0) * x < level, u_below)
+        off = y <= th.y0
+        return (off & (np.sqrt(2.0) * x < level)) | (u_below & ~off)
     return equivalent_gain(protocol, x, y, z, th_mc) < level
 
 

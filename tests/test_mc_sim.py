@@ -38,8 +38,12 @@ def bessel_j0_oracle(x: np.ndarray) -> np.ndarray:
     return np.cos(np.outer(x, np.sin(rule.nodes))) @ rule.weights / math.pi
 
 
-def per_ray_gain(omega, f_tx, f_rx, n_samples, dt, rng, n_sinusoids):
-    """Reference sum of sinusoids: the generator's draws, one cos/sin pass per ray."""
+def per_ray_gain(omega, f_tx, f_rx, n_samples, dt, rng, n_sinusoids, antipodal=False):
+    """Reference sum of sinusoids: the generator's draws, one cos/sin pass per ray.
+
+    antipodal sets ray k + N/2 of an even count N to exactly -w_k, the
+    frequency the generator gives it when it folds the pair.
+    """
     u_alpha, u_beta = rng.uniform(0.0, 1.0, 2)
     idx = np.arange(n_sinusoids)
     r = mc_sim._coprime_stride(n_sinusoids)
@@ -47,6 +51,9 @@ def per_ray_gain(omega, f_tx, f_rx, n_samples, dt, rng, n_sinusoids):
     beta = 2.0 * np.pi * ((r * idx) % n_sinusoids + u_beta) / n_sinusoids
     phi = rng.uniform(0.0, 2.0 * np.pi, n_sinusoids)
     omega_ray = 2.0 * np.pi * (f_tx * np.cos(alpha) + f_rx * np.cos(beta))
+    if antipodal:
+        half = n_sinusoids // 2
+        omega_ray[half:] = -omega_ray[:half]
     t = np.arange(n_samples, dtype=np.float64) * dt
     re = np.zeros(n_samples)
     im = np.zeros(n_samples)
@@ -115,7 +122,7 @@ class TestGeneration:
         tr = gen_m2m_rayleigh(1.0, 0.0, 0.0, cfg, static_fallback=True)
         assert np.all(tr.samples == tr.samples[0])
 
-    @pytest.mark.parametrize("n_sinusoids", [16, 32, 64])
+    @pytest.mark.parametrize("n_sinusoids", [16, 17, 32, 64])
     @pytest.mark.parametrize("n_samples", [100, 1000, 65_537, N_CROSSING_CHUNK])
     def test_blocked_gain_matches_per_ray_sum(self, n_samples, n_sinusoids):
         # below one block, not a multiple of the block, across a row chunk
@@ -125,6 +132,30 @@ class TestGeneration:
         ref = per_ray_gain(*args, np.random.Generator(np.random.Philox(key=key)), n_sinusoids)
         assert h.shape == (n_samples,) and h.dtype == np.complex128
         assert float(np.max(np.abs(h - ref))) <= 1e-10
+
+    @pytest.mark.parametrize("n_sinusoids", [16, 32, 64])
+    @pytest.mark.parametrize("n_samples, bound", [(65_537, 5e-12), (N_CROSSING_CHUNK, 5e-11)])
+    def test_folded_gain_matches_antipodal_per_ray_sum(self, n_samples, bound, n_sinusoids):
+        # the reference runs ray k + N/2 at exactly -w_k, as the fold does,
+        # so what is left is the rounding of the fold's phase arguments
+        args = (1.3, 1.0, 0.7, n_samples, 1.0 / (64 * 1.7))
+        key = [11, 100 * n_samples + n_sinusoids]
+        h = gen_complex_gain(*args, np.random.Generator(np.random.Philox(key=key)), n_sinusoids)
+        ref = per_ray_gain(*args, np.random.Generator(np.random.Philox(key=key)), n_sinusoids, antipodal=True)
+        assert float(np.max(np.abs(h - ref))) <= bound
+
+    @pytest.mark.parametrize("n_sinusoids", [16, 18, 32, 64, 100])
+    def test_even_ray_set_is_antipodal(self, n_sinusoids):
+        # an odd stride turns both angles of ray k + N/2 by pi
+        r = mc_sim._coprime_stride(n_sinusoids)
+        assert r % 2 == 1
+        idx = np.arange(n_sinusoids)
+        half = n_sinusoids // 2
+        for u in (0.0, 0.37, 0.999):
+            alpha = 2.0 * np.pi * (idx + u) / n_sinusoids
+            beta = 2.0 * np.pi * ((r * idx) % n_sinusoids + u) / n_sinusoids
+            for angle in (alpha, beta):
+                np.testing.assert_allclose(np.cos(angle[half:]), -np.cos(angle[:half]), rtol=0, atol=1e-14)
 
     def test_gain_prefix_does_not_depend_on_length(self):
         def gain(n):
@@ -360,6 +391,67 @@ class TestValidate:
         unknown = types.SimpleNamespace(token="new", level=Protocol.SR.level)
         with pytest.raises(ValueError, match="unknown protocol"):
             mc_sim._outage_mask(unknown, sc, cfg, mc_sim.scenario_dt(sc, cfg), 0, th, th)
+
+    @pytest.mark.parametrize("y0", [None, 0.8])
+    def test_sr_mask_is_the_selected_gain_below_g0(self, y0):
+        # crafted envelopes in the trace store: y on y0 and one ulp either
+        # side, x one ulp either side of g0/sqrt(2), U on g0, NaN in each link
+        sc = Scenario(
+            gamma0=10.0, r0=0.5, gains=LinkGains(1.0, 2.0, 0.5), dopplers=NodeDopplers(1.0, 0.3, 0.7), y0=y0
+        )
+        _, th = derive(sc)
+        g0, edge = th.g0, th.g0 / math.sqrt(2.0)
+        xs = [0.0, 0.5 * edge, np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf), 2.0 * edge, math.nan]
+        ys = [0.0, np.nextafter(th.y0, 0.0), th.y0, np.nextafter(th.y0, math.inf), 3.0 * th.y0, math.nan]
+        zs = [0.0, 0.5 * g0, np.nextafter(g0, 0.0), g0, math.nan]
+        x, y, z = (a.ravel() for a in np.meshgrid(xs, ys, zs, indexing="ij"))
+        cfg = TraceConfig(n_samples=len(x))
+        store = mc_sim._TraceStore(cfg)
+        store.update({(0, 0): x, (0, 1): y, (0, 2): z})
+        sc.__dict__["_traces"] = (cfg, store)
+        mask = mc_sim._outage_mask(Protocol.SR, sc, cfg, 1.0, 0, th, th)
+        expected = equivalent_gain(Protocol.SR, x, y, z, th) < g0
+        assert np.array_equal(mask, expected)
+        assert 0 < np.count_nonzero(expected) < len(x)
+
+    # n_down_crossings and p_out of one mobile scenario at 65,536 samples x 2
+    # realizations: a change of the generator's rounding must not move them
+    PINNED_COUNTS = {
+        16: {
+            Protocol.DIRECT: (713, 0.0381011962890625),
+            Protocol.AF: (261, 0.01419830322265625),
+            Protocol.DF: (884, 0.0608673095703125),
+            Protocol.SR: (216, 0.011138916015625),
+        },
+        17: {
+            Protocol.DIRECT: (749, 0.03987884521484375),
+            Protocol.AF: (263, 0.01421356201171875),
+            Protocol.DF: (820, 0.05809783935546875),
+            Protocol.SR: (227, 0.0114593505859375),
+        },
+        32: {
+            Protocol.DIRECT: (740, 0.0420684814453125),
+            Protocol.AF: (260, 0.01434326171875),
+            Protocol.DF: (823, 0.0560455322265625),
+            Protocol.SR: (223, 0.01091766357421875),
+        },
+        64: {
+            Protocol.DIRECT: (702, 0.03881072998046875),
+            Protocol.AF: (252, 0.01458740234375),
+            Protocol.DF: (783, 0.05686187744140625),
+            Protocol.SR: (220, 0.0109405517578125),
+        },
+    }
+
+    @pytest.mark.parametrize("n_sinusoids", [16, 17, 32, 64])
+    def test_counts_are_pinned(self, n_sinusoids):
+        sc = Scenario(gamma0=10.0, r0=0.5, gains=LinkGains(1.0, 2.0, 0.5), dopplers=NodeDopplers(1.0, 0.3, 0.7))
+        cfg = TraceConfig(n_samples=65_536, seed=5, n_realizations=2, n_sinusoids=n_sinusoids)
+        got = {}
+        for protocol in Protocol:
+            emp = validate(sc, protocol, cfg).empirical
+            got[protocol] = (emp.n_down_crossings, emp.p_out)
+        assert got == self.PINNED_COUNTS[n_sinusoids]
 
     def test_direct_needs_no_moving_relay(self):
         sc = Scenario(gamma0=10.0, r0=0.5, gains=LinkGains(1.0, 1.0, 1.0), dopplers=NodeDopplers(0.0, 0.0, 1.0))
