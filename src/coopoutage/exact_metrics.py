@@ -50,13 +50,17 @@ with k = sqrt(a(a + c1)/(oy oz)) and t* = 1/(oy k): the two e^-psi cuts
 where they are far apart, a band around the merged peak t* at deep outage.
 In e = t/t* the inner exponents are -k(e + 1/e), and the integrand is
 sqrt(q(e)) exp(-k(e + 1/e))/e with q a quartic whose coefficients, all
-nonnegative, are computed once per outer node (_af_rate_quartic): one
-Horner pass, one sqrt and one exp per node (_af_rate_kernel).  The
-separable factors go into the weights (half*oy*k and
-exp(-(g0^2 - a)/ox - a(1/oy + 1/oz)) per outer node, which absorbs the
-exp(-g0^2/ox) prefactor), so every exponent is <= 0 and deep outage
-underflows to 0 instead of overflowing.  The opening round evaluates both
-opening order pairs of every block on one zero-padded grid.
+nonnegative, are computed once per outer node (_af_rate_quartic).  The
+window is symmetric in ln e, so the inner rule's nodes +-x pair e with
+1/e: only the nonnegative half of each rule is evaluated
+(_af_rate_rules), and each pair costs one exp(h x), one reciprocal, one
+exp(-k(e + 1/e)) and two Horner passes, over q and over the reversed
+quartic e^4 q(1/e) (_af_rate_kernel).  The separable factors go into the
+weights (half*oy*k and exp(-(g0^2 - a)/ox - a(1/oy + 1/oz)) per outer
+node, which absorbs the exp(-g0^2/ox) prefactor), so every exponent is
+<= 0 and deep outage underflows to 0 instead of overflowing.  The opening
+round evaluates both opening order pairs of every block on one
+zero-padded grid.
 """
 
 import math
@@ -68,7 +72,7 @@ from operator import attrgetter
 import numpy as np
 from scipy import special as _sp
 
-from .channel import _EXP_NORMAL, MobilityError, Scenario, _domain_error, rayleigh_lcr, scenario_term
+from .channel import _EXP_NORMAL, _NORMAL_MIN, MobilityError, Scenario, _domain_error, rayleigh_lcr, scenario_term
 from .numerics import _TINY, _legendre_base, refine_blocks
 
 __all__ = [
@@ -275,21 +279,25 @@ def _af_rate_rules(orders: tuple) -> tuple:
     """Legendre rules of aor_af's (outer, inner) order pairs, stacked for one grid.
 
     Returns the outer nodes plus 1 and the outer weights of all pairs, one
-    after the other, as columns of M = sum(m) rows; the inner nodes of every
-    outer node, shape (M, n) with n the largest inner order; and each pair's
-    inner weights, length n.  A shorter inner rule is padded with
-    zero-weight nodes at x = 0.  Last, starts: the first of each pair's
-    rows.  The arrays are shared by every call, so they are read-only.
+    after the other, as columns of M = sum(m) rows; the folded inner nodes
+    of every outer node, shape (M, n) with n half the largest inner order;
+    and each pair's folded inner weights, length n.  An inner rule is
+    folded to its nonnegative half, x[ni//2:] and w[ni//2:]: the rules are
+    symmetric about 0 bit for bit and every inner order is even, so each
+    kept node stands for itself and its mirror, which _af_rate_kernel
+    evaluates with it.  A shorter half is padded with zero-weight nodes at
+    x = 0.  Last, starts: the first of each pair's rows.  The arrays are
+    shared by every call, so they are read-only.
     """
-    n = max(ni for _, ni in orders)
+    n = max(ni for _, ni in orders) // 2
     xo, wo, xi, wi = [], [], [], []
     for m, ni in orders:
         x, w = _legendre_base(m)
         xo.append(x + 1.0)
         wo.append(w)
-        x, w = _legendre_base(ni)
-        xi.append(np.repeat([np.pad(x, (0, n - ni))], m, axis=0))
-        wi.append(np.pad(w, (0, n - ni)))
+        x, w = (r[ni // 2 :] for r in _legendre_base(ni))
+        xi.append(np.repeat([np.pad(x, (0, n - x.size))], m, axis=0))
+        wi.append(np.pad(w, (0, n - w.size)))
     xo, wo, xi = np.concatenate(xo)[:, None], np.concatenate(wo)[:, None], np.concatenate(xi)
     starts = np.cumsum([0] + [m for m, _ in orders[:-1]])
     for arr in (xo, wo, xi, *wi, starts):
@@ -389,22 +397,30 @@ def _af_rate_quartic(a, g0sq, c1, s2x, s2y, s2z, oy, oz):
 
 
 def _af_rate_kernel(e, e_inv, k, q):
-    """aor_af's integrand on the grid e, weights aside: sqrt(q(e)) exp(-k(e + 1/e))/e.
+    """aor_af's integrand at e and at 1/e, summed, weights aside.
 
+    With f(e) = sqrt(q(e)) exp(-k(e + 1/e))/e, it is
+        f(e) + f(1/e) = (sqrt(q(e)) + sqrt(qr(e))) exp(-k(e + 1/e))/e,
+    where qr(e) = e^4 q(1/e) is the quartic with its coefficients
+    reversed: one mirrored pair of nodes of a symmetric rule in ln e.
     q = (q4, ..., q0) holds the coefficients of the quartic q(e) of
     _af_rate_quartic and e_inv = 1/e; the coefficients and k broadcast
     against e (aor_af: shape (blocks, M, 1) against (blocks, M, n), every
     outer node with its own inner nodes).  Horner's rule on a quartic with
-    nonnegative coefficients at e > 0 adds only nonnegative terms, so it
-    never cancels (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, sec. 5.1).  The two inner exponents share one exp.
+    nonnegative coefficients at e > 0 adds only nonnegative terms, so
+    neither quartic cancels (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 5.1).  The pair shares one exp.
     """
-    out = e * q[0]
-    out += q[1]
-    for qi in q[2:]:
-        out *= e
-        out += qi
-    np.sqrt(out, out=out)
+    roots = []
+    for coeffs in (q, q[::-1]):
+        p = e * coeffs[0]
+        p += coeffs[1]
+        for qi in coeffs[2:]:
+            p *= e
+            p += qi
+        roots.append(np.sqrt(p, out=p))
+    out, rev = roots
+    out += rev
     s = e + e_inv
     s *= -k
     np.exp(s, out=s)
@@ -440,8 +456,12 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     k = sqrt(AB) and t* = 1/(oy*k) the exponents are -k(e + 1/e), and the
     variance times the squared rational factor is a quartic in e with
     nonnegative coefficients (_af_rate_quartic), computed once per outer
-    node.  _af_rate_kernel is then one Horner pass, one sqrt and one exp
-    per inner node.  The separable factors are folded into the weights:
+    node.  The window is symmetric about v*, and so is the Legendre rule,
+    so its nodes v - v* = +-half*x pair e with 1/e, which share the
+    exponent.  The grid holds only e = exp(half*x) >= 1, x >= 0, and
+    _af_rate_kernel returns the pair's sum: two Horner passes, over q and
+    its reversed quartic, two sqrts and one exp per pair of inner nodes.
+    The separable factors are folded into the weights:
     dt/t^2 = (oy*k) dv/e, so each outer node carries half*oy*k and
     exp(-(g0^2 - a)/ox - a*(1/oy + 1/oz)), which absorbs the
     exp(-g0^2/ox) prefactor.  Every exponent is <= 0, so deep outage
@@ -453,8 +473,9 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     nodes each, up to 96 with 512; _AF_RATE_ORDERS), only while its error
     estimate (the change from its previous orders) still counts against
     tol times the total.  The opening round evaluates both opening order
-    pairs of every block on one grid, shape (blocks, 8 + 12, 64), the
-    48-node inner rules padded with zero weights (_af_rate_rules).
+    pairs of every block on one grid, shape (blocks, 8 + 12, 32): the
+    nonnegative halves of the inner rules, the 24 of the 48-node rule
+    padded with zero weights (_af_rate_rules).
     """
     _require_mobility(scenario)
     g = scenario.gains
@@ -473,6 +494,7 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
         k, q = _af_rate_quartic(a, *args)
         half = np.arccosh(1.0 + 0.5 * _PSI / k)
         wa *= half * oy * k
+        # x >= 0, so e >= 1; the kernel adds each node's mirror 1/e
         e = half * xi
         np.exp(e, out=e)
         kern = _af_rate_kernel(e, np.reciprocal(e), k, q)
@@ -550,12 +572,14 @@ def _lcr_rule(s0: float, s1: float, dc: float) -> float:
     return total
 
 
-def _lcr_u_logs(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: float) -> float:
+def _lcr_u_logs(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: float,
+                cx: float, cz: float) -> float:
     """lcr_u where its direct evaluation under- or overflows: one exp of the rate's log.
 
-    With a the link of smaller c = g0^2/omega, b the other and d = cb - ca,
-    the rate is sqrt(2/pi) g0^3/(ox oz) e^{-ca} Jh with Jh = e^{ca} J, and
-    every factor enters as its log, so neither a subnormal e^{-ca} nor an
+    With a the link of smaller c = g0^2/omega (cx, cz, as lcr_u formed
+    them), b the other and d = cb - ca, the rate is
+    sqrt(2/pi) g0^3/(ox oz) e^{-ca} Jh with Jh = e^{ca} J, and every factor
+    enters as its log, so neither a subnormal e^{-ca} nor an
     overflowing cb, lambda or |lambda|^{3/2} costs digits.  Where d <= 1, Jh
     is lcr_u's own first two paths with e^{-ca} left out.  Elsewhere, with
     q = (sb^2 - sa^2)/d,
@@ -565,8 +589,7 @@ def _lcr_u_logs(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigm
     where |s^2/q| > e^40 and q may underflow; log d comes from the gains
     where cb overflows.  Equal variances (q = 0) take that limit exactly.
     """
-    g0sq = g0 * g0
-    (ca, oa, s2a), (cb, ob, s2b) = sorted(((g0sq / omega_x, omega_x, sigma2_x), (g0sq / omega_z, omega_z, sigma2_z)))
+    (ca, oa, s2a), (cb, ob, s2b) = sorted(((cx, omega_x, sigma2_x), (cz, omega_z, sigma2_z)))
     if ca == math.inf:
         return 0.0
     log_nu = 0.5 * math.log(2.0 / math.pi) + 3.0 * math.log(g0) - math.log(omega_x) - math.log(omega_z) - ca
@@ -619,6 +642,8 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
 
     g0 = 0 or two static links give 0.  g0^2/(ox oz) multiplies J before
     g0 does, so a J that underflows to 0 at a huge g0 gives 0, not inf * 0.
+    Where g0^2 is subnormal it is never formed: c = (g0/omega) g0 and
+    g0^2/(ox oz) = (g0/ox)(g0/oz) keep every digit.
     A NaN or infinite argument, g0 < 0, a gain <= 0 or a variance < 0
     raise ValueError.
     """
@@ -628,9 +653,12 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
     if g0 == 0.0 or sigma2_x + sigma2_z == 0.0:
         return 0.0
     g0sq = g0 * g0
-    cx, cz = g0sq / omega_x, g0sq / omega_z
+    if g0sq >= _NORMAL_MIN:
+        cx, cz = g0sq / omega_x, g0sq / omega_z
+    else:  # a subnormal g0^2 keeps only some of its digits: neither c nor the scale uses it
+        cx, cz = g0 / omega_x * g0, g0 / omega_z * g0
     if cx > _EXP_NORMAL and cz > _EXP_NORMAL:
-        return _lcr_u_logs(g0, omega_x, omega_z, sigma2_x, sigma2_z)
+        return _lcr_u_logs(g0, omega_x, omega_z, sigma2_x, sigma2_z, cx, cz)
     sx = math.sqrt(sigma2_x)
     try:
         if sigma2_x == sigma2_z:
@@ -643,10 +671,11 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
             lam = (cz - cx) / gap
             tails = math.exp(-cx) * _k32(lam * sigma2_x) - math.exp(-cz) * _k32(lam * sigma2_z)
             j = tails / (gap * abs(lam) ** 1.5)
-        nu = math.sqrt(2.0 / math.pi) * g0 * (g0sq / (omega_x * omega_z) * j)
+        scale = g0sq / (omega_x * omega_z) if g0sq >= _NORMAL_MIN else g0 / omega_x * (g0 / omega_z)
+        nu = math.sqrt(2.0 / math.pi) * g0 * (scale * j)
     except (OverflowError, ZeroDivisionError):
         nu = math.nan
-    return nu if _TINY <= nu < math.inf else _lcr_u_logs(g0, omega_x, omega_z, sigma2_x, sigma2_z)
+    return nu if _TINY <= nu < math.inf else _lcr_u_logs(g0, omega_x, omega_z, sigma2_x, sigma2_z, cx, cz)
 
 
 @scenario_term

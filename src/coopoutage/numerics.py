@@ -5,6 +5,8 @@ which exact_metrics reads directly for the AF integrals and lcr_u's fixed
 10-node rule) are generated by Newton iteration on the Legendre
 recurrence, so any order works; at order 1024 this builds 3-4x faster
 than numpy's leggauss, whose weights are up to 1.2e-9 relative off there.
+Each rule is symmetric about 0 bit for bit (x_i = -x_(n-1-i), equal
+weights), which aor_af's folded inner rule relies on.
 Gauss-Laguerre rules (gauss_laguerre) come from numpy's laggauss
 (Golub-Welsch); no metric uses one, they serve integrate_semi_infinite's
 consistency check and the tests.
@@ -135,7 +137,10 @@ def _legendre_base(order: int) -> tuple[np.ndarray, np.ndarray]:
     _, dp = _legendre_poly(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     idx = np.argsort(x)
-    return x[idx], w[idx]
+    x, w = x[idx], w[idx]
+    # the rule is symmetric about 0; averaging each node with its mirror
+    # makes it so exactly, so either half of it is the whole rule
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
 @lru_cache(maxsize=64)

@@ -240,6 +240,11 @@ class TestRayleighLcr:
         ulp = math.ulp(rate)
         assert abs(rayleigh_lcr(*args) - rate) <= max(ulp, 1e-12 * rate)
 
+    def test_subnormal_squared_level(self):
+        # level^2 = 1e-320 is subnormal; forming it put the rate 1.1e-5 off.
+        # 50-digit mpmath
+        assert rayleigh_lcr(1e-160, 1e-320, 1.0) == pytest.approx(2.9352532632928982e159, rel=1e-12, abs=0.0)
+
     def test_quadrupled_derivative_variance_doubles_rate(self):
         for level in (0.2, 0.9, 2.1):
             assert rayleigh_lcr(level, 1.3, 4.0 * 0.8) == pytest.approx(

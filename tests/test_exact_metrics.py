@@ -30,7 +30,7 @@ from coopoutage.exact_metrics import (
     prob_u_exceeds,
     sr_switch_probs,
 )
-from coopoutage.numerics import gauss_legendre
+from coopoutage.numerics import _legendre_base, gauss_legendre
 
 # Monte Carlo pins (independent oracles, frozen):
 # - static sampling of the AF equivalent gain, 6e7 iid Rayleigh triples
@@ -126,32 +126,39 @@ def decade_rule(lo, hi, m):
     return np.concatenate([r.nodes for r in rules]), np.concatenate([r.weights for r in rules])
 
 
-def af_rate_node_sum(scenario, m):
-    """Reference AF outage rate: the unfolded integrand, one outer node at a time.
+def af_rate_integrand(scenario, a, t):
+    """The unfolded AF rate integrand at outer node a and inner nodes t, per dt.
 
-    Every exponential sits in one exponent (the exp(-g0^2/ox) prefactor too),
-    the variance is built by divisions, and the full tensor grid is summed.
-    It keeps af_rate_grid's cut t >= 1/(psi*oy), so it misses the merged
-    inner peak at deep outage; af_rate_brute has no cut.
+    Every exponential sits in one exponent (the exp(-g0^2/ox) prefactor too)
+    and the variance is built by divisions; the constant
+    sqrt(2/pi)/(ox oy oz) is left out.
     """
     g = scenario.gains
     ld, th = derive(scenario)
     g0sq, c1 = th.g0**2, th.c1
     ox, oy, oz = g.omega_x, g.omega_y, g.omega_z
+    at1 = a * t + 1.0
+    act1 = at1 + c1 * t
+    svar = (
+        (g0sq - a) * ld.sigma2_x
+        + a**2 * t**3 * (a + c1) ** 2 / (at1 * act1**2) * ld.sigma2_y
+        + a / (at1**2 * act1) * ld.sigma2_z
+    )
+    expo = -(g0sq - a) / ox - a * (1.0 / oy + 1.0 / oz) - a * (a + c1) * t / oz - 1.0 / (t * oy)
+    return np.sqrt(svar) * at1 * act1 / t**2 * np.exp(expo)
+
+
+def af_rate_node_sum(scenario, m):
+    """Reference AF outage rate: the unfolded integrand, one outer node at a time.
+
+    The full tensor grid of af_rate_integrand is summed.  It keeps
+    af_rate_grid's cut t >= 1/(psi*oy), so it misses the merged inner peak
+    at deep outage; af_rate_brute has no cut.
+    """
+    g = scenario.gains
     a, wa, t, wt = af_rate_grid(scenario, m)
-    total = 0.0
-    for ai, wai in zip(a, wa):
-        at1 = ai * t + 1.0
-        act1 = at1 + c1 * t
-        svar = (
-            (g0sq - ai) * ld.sigma2_x
-            + ai**2 * t**3 * (ai + c1) ** 2 / (at1 * act1**2) * ld.sigma2_y
-            + ai / (at1**2 * act1) * ld.sigma2_z
-        )
-        expo = -(g0sq - ai) / ox - ai * (1.0 / oy + 1.0 / oz) - ai * (ai + c1) * t / oz - 1.0 / (t * oy)
-        f = np.sqrt(svar) * at1 * act1 / t**2 * np.exp(expo)
-        total += wai * float(f @ wt)
-    return math.sqrt(2.0 / math.pi) / (ox * oy * oz) * total
+    total = sum(wai * float(af_rate_integrand(scenario, ai, t) @ wt) for ai, wai in zip(a, wa))
+    return math.sqrt(2.0 / math.pi) / (g.omega_x * g.omega_y * g.omega_z) * total
 
 
 def af_rate_brute(scenario, n=1000):
@@ -344,21 +351,27 @@ class TestAfOutageRate:
     @pytest.mark.parametrize("snr_db", [4.0, 40.0, 76.0])
     @pytest.mark.parametrize("shape", list(SWEEP_SHAPES))
     def test_kernel_with_folded_weights_matches_node_sum(self, shape, snr_db, m):
-        # full tensor grid, no inner cut: only the folding and the kernel differ
+        # full tensor grid, no inner cut: only the folding and the kernel differ.
+        # The kernel sums a mirrored pair in ln t, t and t*^2/t, so the
+        # reference takes the integrand per dv = dt/t at both, with t's weight
         sc = sweep_scenario(shape, snr_db)
         ld, th = derive(sc)
         g = sc.gains
-        g0sq, ox, oy, oz = th.g0**2, g.omega_x, g.omega_y, g.omega_z
+        g0sq, c1, ox, oy, oz = th.g0**2, th.c1, g.omega_x, g.omega_y, g.omega_z
         a, wa, t, wt = af_rate_grid(sc, m)
-        k, q = exact_metrics._af_rate_quartic(
-            a[:, None], g0sq, th.c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oy, oz
-        )
+        k, q = exact_metrics._af_rate_quartic(a[:, None], g0sq, c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oy, oz)
         # e = t/t* = t*oy*k per outer node, and dt/t^2 = oy*k * (dt/t)/e
         e = t * (oy * k)
         kern = exact_metrics._af_rate_kernel(e, 1.0 / e, k, q)
-        wa = wa * np.exp(-(g0sq - a) / ox - a * (1.0 / oy + 1.0 / oz)) * oy * k[:, 0]
-        got = math.sqrt(2.0 / math.pi) / (ox * oy * oz) * float(wa @ (kern @ (wt / t)))
-        assert got == pytest.approx(af_rate_node_sum(sc, m), rel=1e-13, abs=0.0)
+        wa_k = wa * np.exp(-(g0sq - a) / ox - a * (1.0 / oy + 1.0 / oz)) * oy * k[:, 0]
+        got = math.sqrt(2.0 / math.pi) / (ox * oy * oz) * float(wa_k @ (kern @ (wt / t)))
+        ref = 0.0
+        for ai, wai in zip(a, wa):
+            tm = oz / (oy * ai * (ai + c1)) / t  # t*^2/t
+            pair = t * af_rate_integrand(sc, ai, t) + tm * af_rate_integrand(sc, ai, tm)
+            ref += wai * float(pair @ (wt / t))
+        ref *= math.sqrt(2.0 / math.pi) / (ox * oy * oz)
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("snr_db", [4.0, 40.0, 76.0])
     @pytest.mark.parametrize("shape", list(SWEEP_SHAPES))
@@ -730,6 +743,11 @@ class TestAuxiliaryGainStatistics:
     def test_lcr_u_where_its_direct_form_under_or_overflows(self, case, rate, rel):
         assert lcr_u(*case) == pytest.approx(rate, rel=rel, abs=0.0)
         assert lcr_u(*case) == pytest.approx(lcr_u(case[0], case[2], case[1], case[4], case[3]), rel=rel, abs=0.0)
+
+    def test_lcr_u_at_a_subnormal_g0_squared(self):
+        # g0^2 = 1e-316 and ox*oz = 1e-320 are subnormal; forming either put
+        # the rate 1.1e-5 off.  50-digit mpmath
+        assert lcr_u(1e-158, 1e-160, 1e-160, 1.0, 2.0) == pytest.approx(9.7258251559210674e-155, rel=1e-12, abs=0.0)
 
     def test_lcr_u_large_negative_exponent(self):
         # -30 dB, strong direct link: w ~ -5.4e4; 80-digit mpmath value of
@@ -1114,6 +1132,24 @@ class TestSharedAfPanels:
         sizes = [m for m, _ in orders]
         assert list(np.diff([*starts, xo.shape[0]])) == sizes
         assert starts[0] == 0 and xo.shape[0] == wo.shape[0] == xi.shape[0] == sum(sizes)
+
+    @pytest.mark.parametrize(
+        "orders", [exact_metrics._AF_RATE_ORDERS[:2], *((pair,) for pair in exact_metrics._AF_RATE_ORDERS)]
+    )
+    def test_inner_rules_are_folded_halves(self, orders):
+        # each pair's inner rows hold the nonnegative half of its rule, which
+        # mirrored is the whole rule, then zero-weight padding at x = 0
+        _, _, xi, wi, starts = exact_metrics._af_rate_rules(orders)
+        assert xi.shape[1] == max(ni for _, ni in orders) // 2
+        assert np.all(xi >= 0.0)
+        for (m, ni), s, w in zip(orders, starts, wi):
+            half = ni // 2
+            x_full, w_full = _legendre_base(ni)
+            for x in xi[s : s + m]:
+                assert np.array_equal(np.concatenate([-x[half - 1 :: -1], x[:half]]), x_full)
+                assert np.all(x[half:] == 0.0)
+            assert np.array_equal(np.concatenate([w[half - 1 :: -1], w[:half]]), w_full)
+            assert np.all(w[half:] == 0.0)
 
 
 class TestAsymmetricScenarioPins:

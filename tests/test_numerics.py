@@ -8,12 +8,13 @@ import pytest
 from scipy.special import roots_laguerre
 
 from coopoutage.channel import Scenario
-from coopoutage.exact_metrics import op_af
+from coopoutage.exact_metrics import _AF_RATE_ORDERS, op_af
 from coopoutage.numerics import (
     ConvergenceError,
     LaguerreDisagreement,
     QuadratureRule,
     UnderflowWarning,
+    _legendre_base,
     bessel_k0,
     bessel_k1,
     erfc,
@@ -105,6 +106,16 @@ class TestGaussLegendre:
         x_ref, w_ref = np.polynomial.legendre.leggauss(order)
         assert np.max(np.abs(rule.nodes - x_ref)) < 1e-13
         assert np.max(np.abs(rule.weights - w_ref)) < 1e-13
+
+    def test_base_rules_are_symmetric_bit_for_bit(self):
+        # aor_af evaluates only the nonnegative half of each inner rule
+        orders = sorted({*range(1, 65), *(n for pair in _AF_RATE_ORDERS for n in pair)})
+        asymmetric = []
+        for order in orders:
+            x, w = _legendre_base(order)
+            if not (np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])):
+                asymmetric.append(order)
+        assert asymmetric == []
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
