@@ -32,10 +32,8 @@ __all__ = [
 ]
 
 
-# the smallest normal float: a product below it keeps only some of its digits
-_NORMAL_MIN = sys.float_info.min
 # e^{-c} is a normal float for c up to -log of the smallest one, 708.396...
-_EXP_NORMAL = -math.log(_NORMAL_MIN)
+_EXP_NORMAL = -math.log(sys.float_info.min)
 
 
 class MobilityError(ValueError):
@@ -238,14 +236,14 @@ def rayleigh_lcr(level: float, omega: float, sigma2: float) -> float:
     Where exp(-level^2 / omega) is not a normal float, the three factors
     meet as one exp of the sum of their logs, so level / omega > 1 lifts
     the result without losing digits and an overflowing level / omega
-    gives 0, not inf * 0.  Where level^2 is subnormal, level^2 / omega is
-    taken as (level / omega) level, which keeps its digits.  A NaN or
-    infinite argument, level or sigma2 < 0, or omega <= 0 raise ValueError.
+    gives 0, not inf * 0.  level^2 / omega is taken as (level / omega)
+    level, as lcr_u takes its c, so a subnormal level^2 is never formed.  A
+    NaN or infinite argument, level or sigma2 < 0, or omega <= 0 raise
+    ValueError.
     """
     if not (0.0 <= level < math.inf and 0.0 < omega < math.inf and 0.0 <= sigma2 < math.inf):
         raise _domain_error(level=level, omega=omega, sigma2=sigma2)
-    sq = level * level
-    c = sq / omega if sq >= _NORMAL_MIN else level / omega * level
+    c = level / omega * level
     if c <= _EXP_NORMAL:
         return math.sqrt(2.0 * sigma2 / math.pi) * (level / omega) * math.exp(-c)
     if sigma2 == 0.0:

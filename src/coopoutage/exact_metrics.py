@@ -20,14 +20,19 @@ still counts against tol (1e-8 for op_af, which reads only the outer
 orders; 1e-7 for aor_af).  Neither runs a Gauss-Laguerre cross-check.
 Direct, DF and SR use no adaptive quadrature.  lcr_u, the crossing rate
 of sqrt(X^2 + Z^2) behind DF and SR, is one integral in a form symmetric
-in the two links and free of cancellation, taken exactly at equal
-derivative variances, by one fixed 10-node Gauss-Legendre rule where its
-exponent spans at most 1, and in closed form elsewhere (see its
-docstring).  Each difference of two exponentials that turns 0/0 at equal
-parameters is exp's divided difference, taken through _exprel: as
-_exp_dd(a, b) = (e^a - e^b)/(a - b) in lcr_u at equal variances, and in
-p3 and p4 of sr_switch_probs at every pair of gains; directly in
-Pr{U > g0} inside its equal-gain window.  No zeroth-order limit is left.
+in the two links and free of cancellation, on one skeleton: it orders the
+links by c = (g0/omega) g0 and takes Jh = e^{ca} J once, exactly at equal
+derivative variances, by one fixed 10-node Gauss-Legendre rule where the
+exponent gap d = cb - ca is at most 1, and in closed form elsewhere.  The
+rate, sqrt(2/pi) g0 (g0/ox)(g0/oz) e^{-ca} Jh, is a plain product where
+every factor and partial product is a normal float and one exp of the
+sum of the logs elsewhere, with log Jh from _lcr_log_tail only where the
+closed form leaves the float range (see lcr_u's docstring).  Each
+difference of two exponentials that turns 0/0 at equal parameters is
+exp's divided difference, taken through _exprel: as exprel(-d) in lcr_u
+at equal variances, as _exp_dd(a, b) = (e^a - e^b)/(a - b) in p3 and p4
+of sr_switch_probs at every pair of gains, and directly in Pr{U > g0}
+inside its equal-gain window.  No zeroth-order limit is left.
 One window remains (_EQUAL_BRANCH_TOL): Pr{U > g0}'s, exact at every gap.
 
 Each per-operating-point term is computed once per Scenario through
@@ -72,7 +77,7 @@ from operator import attrgetter
 import numpy as np
 from scipy import special as _sp
 
-from .channel import _EXP_NORMAL, _NORMAL_MIN, MobilityError, Scenario, _domain_error, rayleigh_lcr, scenario_term
+from .channel import _EXP_NORMAL, MobilityError, Scenario, _domain_error, rayleigh_lcr, scenario_term
 from .numerics import _TINY, _legendre_base, refine_blocks
 
 __all__ = [
@@ -558,60 +563,45 @@ _LCR_RULE = tuple(zip((0.5 * _LCR_NODES + 0.5).tolist(), (0.5 * _LCR_WEIGHTS).to
 _K32_LOG_FLAT = 40.0
 
 
-def _lcr_rule(s0: float, s1: float, dc: float) -> float:
-    """int_0^1 r^2 e^{-dc v(u)} du of lcr_u's u-form on _LCR_RULE, from link 0's end.
+def _lcr_rule(sa: float, sb: float, d: float) -> float:
+    """lcr_u's Jh = 2/(sa + sb) int_0^1 r^2 e^{-d v(u)} du on _LCR_RULE, from link a's end.
 
-    r = s0 + (s1 - s0) u and v = u (s0 + r)/(s0 + s1), where dc = c1 - c0
-    spans at most 1.
+    r = sa + (sb - sa) u and v = u (sa + r)/(sa + sb), where 0 <= d <= 1.
     """
-    ds, k = s1 - s0, dc / (s0 + s1)
+    ds, k = sb - sa, d / (sa + sb)
     total = 0.0
     for u, w in _LCR_RULE:
-        r = s0 + ds * u
-        total += w * r * r * math.exp(-k * u * (s0 + r))
-    return total
+        r = sa + ds * u
+        total += w * r * r * math.exp(-k * u * (sa + r))
+    return 2.0 / (sa + sb) * total
 
 
-def _lcr_u_logs(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: float,
-                cx: float, cz: float) -> float:
-    """lcr_u where its direct evaluation under- or overflows: one exp of the rate's log.
+def _lcr_log_tail(s2a: float, s2b: float, d: float, log_d: float) -> float:
+    """log Jh of lcr_u's closed form where that form leaves the float range.
 
-    With a the link of smaller c = g0^2/omega (cx, cz, as lcr_u formed
-    them), b the other and d = cb - ca, the rate is
-    sqrt(2/pi) g0^3/(ox oz) e^{-ca} Jh with Jh = e^{ca} J, and every factor
-    enters as its log, so neither a subnormal e^{-ca} nor an
-    overflowing cb, lambda or |lambda|^{3/2} costs digits.  Where d <= 1, Jh
-    is lcr_u's own first two paths with e^{-ca} left out.  Elsewhere, with
+    Link a has the smaller c, d = cb - ca > 1 and log_d = log d.  With
     q = (sb^2 - sa^2)/d,
         Jh = int_0^d sqrt(sa^2 + t q) e^{-t} dt / d = (|Ma| - e^{-d} |Mb|) / d,
     where M(s) = sqrt|q| _k32(s^2/q) is the tail of the link with derivative
     deviation s (lcr_u's closed form with lambda = 1/q), taken as s itself
-    where |s^2/q| > e^40 and q may underflow; log d comes from the gains
-    where cb overflows.  Equal variances (q = 0) take that limit exactly.
+    where |s^2/q| > e^40 and q may underflow.  A static link a has
+    Ma = sqrt(q) _k32(+0.0); an Mb that rounds to 0 (a static link b, or
+    q < 0 with |sb^2/q| so small that D(x) - x cancels) drops out, as its
+    true value is below the rounding of |Ma|.  Equal variances (q = 0)
+    take the limit sa (1 - e^{-d})/d exactly.
     """
-    (ca, oa, s2a), (cb, ob, s2b) = sorted(((cx, omega_x, sigma2_x), (cz, omega_z, sigma2_z)))
-    if ca == math.inf:
-        return 0.0
-    log_nu = 0.5 * math.log(2.0 / math.pi) + 3.0 * math.log(g0) - math.log(omega_x) - math.log(omega_z) - ca
-    d = cb - ca
-    if d <= 1.0:
-        sa, sb = math.sqrt(s2a), math.sqrt(s2b)
-        jh = sa * _exprel(-d) if s2a == s2b else 2.0 / (sa + sb) * _lcr_rule(sa, sb, d)
-        return math.exp(log_nu + math.log(jh))
-    log_d = math.log(d) if d < math.inf else 2.0 * math.log(g0) - math.log(ob) + math.log1p(-ob / oa)
     gap = s2b - s2a
     log_q = math.log(abs(gap)) - log_d if gap else -math.inf
 
     def log_m(s2: float) -> float:
-        if s2 == 0.0:  # _k32(+0.0) = sqrt(pi)/2, _k32(-0.0) = 0
-            return 0.5 * log_q + math.log(_k32(0.0)) if gap > 0.0 else -math.inf
-        log_w = math.log(s2) - log_q
+        log_w = math.log(s2) - log_q if s2 else -math.inf
         if log_w > _K32_LOG_FLAT:
             return 0.5 * math.log(s2)
-        return 0.5 * log_q + math.log(abs(_k32(math.copysign(math.exp(log_w), gap))))
+        k = abs(_k32(math.copysign(math.exp(log_w), gap)))
+        return 0.5 * log_q + math.log(k) if k else -math.inf
 
     log_a = log_m(s2a)
-    return math.exp(log_nu - log_d + log_a + math.log1p(-math.exp(log_m(s2b) - d - log_a)))
+    return log_a - log_d + math.log1p(-math.exp(log_m(s2b) - d - log_a))
 
 
 def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: float) -> float:
@@ -619,63 +609,81 @@ def lcr_u(g0: float, omega_x: float, omega_z: float, sigma2_x: float, sigma2_z: 
 
     X and Z are independent Rayleigh processes with mean squares omega_x,
     omega_z and gain-derivative variances sigma2_x, sigma2_z.  With
-    sx, sz the square roots of the variances and cx = g0^2/ox, cz = g0^2/oz,
-    the rate is sqrt(2/pi) g0^3/(ox oz) J, where g0^2 splits between the two
-    links as (1 - v, v) in
-        J = int_0^1 sqrt((1 - v) sx^2 + v sz^2) e^{-(1 - v) cx - v cz} dv.
-    With r = sx + (sz - sx) u, so that v = u (sx + r)/(sx + sz),
-        J = 2/(sx + sz) int_0^1 r^2 e^{-cx - (cz - cx) v(u)} du,
+    c = (g0/omega) g0 per link, link a the one of smaller c (on a tie, of
+    smaller variance), b the other, sa, sb the square roots of their
+    variances and d = cb - ca >= 0, the rate is
+    sqrt(2/pi) g0 (g0/ox)(g0/oz) e^{-ca} Jh, where g0^2 splits between the
+    two links as (1 - v, v) in
+        Jh = e^{ca} J = int_0^1 sqrt((1 - v) sa^2 + v sb^2) e^{-v d} dv.
+    With r = sa + (sb - sa) u, so that v = u (sa + r)/(sa + sb),
+        Jh = 2/(sa + sb) int_0^1 r^2 e^{-d v(u)} du,
     a quadratic times the exp of a quadratic: symmetric in the links, exact
-    at sx = sz, smooth for a static link and free of any difference of
-    nearly equal terms.  J takes one of three paths:
+    at sa = sb, smooth for a static link and free of any difference of
+    nearly equal terms.  Jh takes one of three paths:
 
-    - sigma2_x == sigma2_z: sx _exp_dd(-cx, -cz), exact;
-    - |cz - cx| <= 1: the u-form on the fixed 10-node rule _LCR_RULE;
-    - otherwise, with lambda = (cz - cx)/(sz^2 - sx^2) and K = _k32,
-      [e^{-cx} K(lambda sx^2) - e^{-cz} K(lambda sz^2)]
-      / ((sz^2 - sx^2) |lambda|^{3/2}).
+    - sigma2_a == sigma2_b: sa exprel(-d), exact;
+    - d <= 1: the u-form on the fixed 10-node rule _LCR_RULE;
+    - otherwise, with lambda = d/(sb^2 - sa^2) and K = _k32,
+      [K(lambda sa^2) - e^{-d} K(lambda sb^2)] / ((sb^2 - sa^2) |lambda|^{3/2}).
       Its two terms are the integrand's tails from each end of the
       interval, which spans an exponent gap above 1, so the interval
       holds more than 1 - e^{-1} of the larger tail and the difference
       does not cancel at any variance gap.  A static link enters as
       lambda * 0.0, whose sign bit _k32 reads.
 
-    g0 = 0 or two static links give 0.  g0^2/(ox oz) multiplies J before
-    g0 does, so a J that underflows to 0 at a huge g0 gives 0, not inf * 0.
-    Where g0^2 is subnormal it is never formed: c = (g0/omega) g0 and
-    g0^2/(ox oz) = (g0/ox)(g0/oz) keep every digit.
+    The rate is assembled in linear scale where ca <= _EXP_NORMAL (e^{-ca}
+    is a normal float) and g0/ox, g0/oz and every partial product are
+    normal floats.  Elsewhere it is one exp of the sum of the factors'
+    logs, so neither a subnormal e^{-ca} nor an extreme g0/omega or Jh
+    costs digits, and a rate that underflows gives 0, not inf * 0.  There
+    log Jh is the log of Jh itself or, where the closed form leaves the
+    float range (d = inf, an overflowing lambda or |lambda|^{3/2}),
+    _lcr_log_tail's, with log d taken from the gains where d overflows.  A subnormal g0^2 is never formed.  g0 = 0,
+    two static links or two overflowing c give 0.  Swapping the links
+    returns the same float.
     A NaN or infinite argument, g0 < 0, a gain <= 0 or a variance < 0
     raise ValueError.
     """
     if not (0.0 <= g0 < math.inf and 0.0 < omega_x < math.inf and 0.0 < omega_z < math.inf
             and 0.0 <= sigma2_x < math.inf and 0.0 <= sigma2_z < math.inf):
         raise _domain_error(g0=g0, omega_x=omega_x, omega_z=omega_z, sigma2_x=sigma2_x, sigma2_z=sigma2_z)
-    if g0 == 0.0 or sigma2_x + sigma2_z == 0.0:
+    fx, fz = g0 / omega_x, g0 / omega_z
+    cx, cz = fx * g0, fz * g0
+    if cz < cx or cz == cx and sigma2_z < sigma2_x:
+        ca, cb, oa, ob, s2a, s2b = cz, cx, omega_z, omega_x, sigma2_z, sigma2_x
+    else:
+        ca, cb, oa, ob, s2a, s2b = cx, cz, omega_x, omega_z, sigma2_x, sigma2_z
+    if g0 == 0.0 or s2a + s2b == 0.0 or ca == math.inf:
         return 0.0
-    g0sq = g0 * g0
-    if g0sq >= _NORMAL_MIN:
-        cx, cz = g0sq / omega_x, g0sq / omega_z
-    else:  # a subnormal g0^2 keeps only some of its digits: neither c nor the scale uses it
-        cx, cz = g0 / omega_x * g0, g0 / omega_z * g0
-    if cx > _EXP_NORMAL and cz > _EXP_NORMAL:
-        return _lcr_u_logs(g0, omega_x, omega_z, sigma2_x, sigma2_z, cx, cz)
-    sx = math.sqrt(sigma2_x)
-    try:
-        if sigma2_x == sigma2_z:
-            j = sx * _exp_dd(-cx, -cz)
-        elif abs(cz - cx) <= 1.0:
-            sz = math.sqrt(sigma2_z)
-            j = 2.0 / (sx + sz) * math.exp(-cx) * _lcr_rule(sx, sz, cz - cx)
-        else:
-            gap = sigma2_z - sigma2_x
-            lam = (cz - cx) / gap
-            tails = math.exp(-cx) * _k32(lam * sigma2_x) - math.exp(-cz) * _k32(lam * sigma2_z)
-            j = tails / (gap * abs(lam) ** 1.5)
-        scale = g0sq / (omega_x * omega_z) if g0sq >= _NORMAL_MIN else g0 / omega_x * (g0 / omega_z)
-        nu = math.sqrt(2.0 / math.pi) * g0 * (scale * j)
-    except (OverflowError, ZeroDivisionError):
-        nu = math.nan
-    return nu if _TINY <= nu < math.inf else _lcr_u_logs(g0, omega_x, omega_z, sigma2_x, sigma2_z, cx, cz)
+    d = cb - ca
+    sa = math.sqrt(s2a)
+    if s2a == s2b:
+        jh = sa * _exprel(-d)
+    elif d <= 1.0:
+        jh = _lcr_rule(sa, math.sqrt(s2b), d)
+    else:
+        gap = s2b - s2a
+        lam = d / gap
+        try:
+            jh = (_k32(lam * s2a) - math.exp(-d) * _k32(lam * s2b)) / (gap * abs(lam) ** 1.5)
+        except (OverflowError, ZeroDivisionError):
+            jh = math.nan
+    # the plain product where every factor and partial product is a normal
+    # float, so each step rounds once; e^{-ca} and sqrt(2/pi) are <= 1 and
+    # come last, so a normal nu bounds the partial products they make
+    scale = fx * fz
+    part = scale * jh
+    nu = part * g0 * math.exp(-ca) * math.sqrt(2.0 / math.pi)
+    if (ca <= _EXP_NORMAL and _TINY <= fx and _TINY <= fz and _TINY <= scale and _TINY <= part
+            and _TINY <= nu < math.inf):
+        return nu
+    if _TINY <= jh < math.inf:
+        log_jh = math.log(jh)
+    else:
+        log_d = math.log(d) if d < math.inf else 2.0 * math.log(g0) - math.log(ob) + math.log1p(-ob / oa)
+        log_jh = _lcr_log_tail(s2a, s2b, d, log_d)
+    log_scale = 3.0 * math.log(g0) - (math.log(omega_x) + math.log(omega_z))
+    return math.exp(0.5 * math.log(2.0 / math.pi) + log_scale - ca + log_jh)
 
 
 @scenario_term
@@ -724,7 +732,8 @@ def sr_switch_probs(g0: float, omega_x: float, omega_z: float) -> tuple[float, f
     Returns (Pr{sqrt(2) X > g0 and U < g0}, Pr{sqrt(2) X < g0 and U > g0})
     for independent Rayleigh X, Z with U = sqrt(X^2 + Z^2).
 
-    With u = g0^2/(2 ox), z = g0^2/(2 oz) and exp's divided difference
+    With u = (g0/ox) g0/2, z = (g0/oz) g0/2 (half of lcr_u's c, so a
+    subnormal g0^2 is never formed) and exp's divided difference
     d = u _exp_dd(-u, -z), each is one term at every pair of gains:
     p4 = e^{-z} d, and p3 = e^{-u} (-expm1(-u) - d), clamped at 0 against
     rounding.  Only at omega_x == omega_z exactly does p3 take
@@ -736,9 +745,8 @@ def sr_switch_probs(g0: float, omega_x: float, omega_z: float) -> tuple[float, f
     """
     if not (0.0 <= g0 < math.inf and 0.0 < omega_x < math.inf and 0.0 < omega_z < math.inf):
         raise _domain_error(g0=g0, omega_x=omega_x, omega_z=omega_z)
-    g0sq = g0 * g0
-    u = g0sq / (2.0 * omega_x)
-    z = g0sq / (2.0 * omega_z)
+    u = g0 / omega_x * g0 / 2.0
+    z = g0 / omega_z * g0 / 2.0
     if u == math.inf:
         return 0.0, math.exp(-2.0 * z)
     d = u * _exp_dd(-u, -z)

@@ -36,6 +36,11 @@ phasors computed directly from the sample index, never by repeated
 phasor multiplication, so rounding error stays at the level of a few
 phase evaluations wherever the sample sits in the trace.
 
+A link envelope is the modulus of gen_complex_gain's gain on the link's
+keyed Philox stream (_link_rng).  gen_m2m_rayleigh draws one from the
+link's own parameters; _link_trace draws link 0, 1 or 2 of a Scenario,
+for gen_link_traces, or straight into its row of validate's trace store.
+
 The traces depend on the gains, the Dopplers and the TraceConfig, not on
 the protocol or the SNR.  validate therefore draws each (realization,
 link) envelope once per Scenario instance and keeps it on the instance
@@ -272,24 +277,10 @@ def gen_m2m_rayleigh(
     different spreads are composed.  A link with both terminals static has
     no Doppler process: StaticLinkError is raised unless static_fallback
     requests a constant-envelope draw (good for outage-probability-only
-    studies).  A NaN or infinite omega, f_tx or f_rx, a negative Doppler
-    or omega <= 0 raise ValueError.
+    studies; its dt defaults to 1).  A NaN or infinite omega, f_tx or f_rx,
+    a negative Doppler or omega <= 0 raise ValueError, and so does a dt
+    that is not positive and finite.
     """
-    return _m2m_envelope(omega, f_tx, f_rx, cfg, dt, realization, link, static_fallback)
-
-
-def _m2m_envelope(
-    omega: float,
-    f_tx: float,
-    f_rx: float,
-    cfg: TraceConfig,
-    dt: float | None,
-    realization: int,
-    link: int,
-    static_fallback: bool,
-    out: np.ndarray | None = None,
-) -> FadingTrace:
-    """gen_m2m_rayleigh, with the samples written into out (n_samples float64) when given."""
     if not (0.0 < omega < math.inf and 0.0 <= f_tx < math.inf and 0.0 <= f_rx < math.inf):
         raise _domain_error(omega=omega, f_tx=f_tx, f_rx=f_rx)
     rng = _link_rng(cfg.seed, realization, link)
@@ -297,14 +288,11 @@ def _m2m_envelope(
         if not static_fallback:
             raise StaticLinkError("both terminal Dopplers are zero")
         level = rng.rayleigh(np.sqrt(omega / 2.0))
-        if out is None:
-            out = np.empty(cfg.n_samples)
-        out.fill(level)
-        return FadingTrace(dt=dt or 1.0, samples=out)
+        return FadingTrace(dt=1.0 if dt is None else dt, samples=np.full(cfg.n_samples, level))
     if dt is None:
         dt = 1.0 / (cfg.oversampling * (f_tx + f_rx))
     h = gen_complex_gain(omega, f_tx, f_rx, cfg.n_samples, dt, rng, cfg.n_sinusoids)
-    return FadingTrace(dt=dt, samples=np.abs(h, out=out))
+    return FadingTrace(dt=dt, samples=np.abs(h))
 
 
 def scenario_dt(scenario: Scenario, cfg: TraceConfig) -> float:
@@ -318,15 +306,19 @@ def scenario_dt(scenario: Scenario, cfg: TraceConfig) -> float:
 
 def _link_trace(
     scenario: Scenario, cfg: TraceConfig, dt: float, realization: int, link: int, out: np.ndarray | None = None
-) -> FadingTrace:
-    """Envelope of link 0 (S->D), 1 (S->R) or 2 (R->D) on its own keyed stream, into out if given."""
+) -> np.ndarray:
+    """Envelope samples of link 0 (S->D), 1 (S->R) or 2 (R->D) on its own keyed stream, into out if given.
+
+    The same samples as gen_m2m_rayleigh(..., dt=dt, realization=realization,
+    link=link) for that link; a static link raises StaticLinkError.
+    """
     d, g = scenario.dopplers, scenario.gains
-    omega, f_tx, f_rx = (
-        (g.omega_x, d.f_s, d.f_d),
-        (g.omega_y, d.f_s, d.f_r),
-        (g.omega_z, d.f_r, d.f_d),
-    )[link]
-    return _m2m_envelope(omega, f_tx, f_rx, cfg, dt, realization, link, False, out)
+    omega = (g.omega_x, g.omega_y, g.omega_z)[link]
+    f_tx, f_rx = ((d.f_s, d.f_d), (d.f_s, d.f_r), (d.f_r, d.f_d))[link]
+    if f_tx + f_rx <= 0.0:
+        raise StaticLinkError("both terminal Dopplers are zero")
+    h = gen_complex_gain(omega, f_tx, f_rx, cfg.n_samples, dt, _link_rng(cfg.seed, realization, link), cfg.n_sinusoids)
+    return np.abs(h, out=out)
 
 
 def gen_link_traces(
@@ -338,7 +330,7 @@ def gen_link_traces(
     the scenario's trace store (_cached_link).
     """
     dt = scenario_dt(scenario, cfg)
-    return tuple(_link_trace(scenario, cfg, dt, realization, link) for link in range(3))
+    return tuple(FadingTrace(dt=dt, samples=_link_trace(scenario, cfg, dt, realization, link)) for link in range(3))
 
 
 class _TraceStore(dict):
@@ -388,7 +380,7 @@ def _cached_link(scenario: Scenario, cfg: TraceConfig, dt: float, realization: i
         scenario,
         cfg,
         (realization, link),
-        lambda store: _link_trace(scenario, cfg, dt, realization, link, store.envelopes[realization, link]).samples,
+        lambda store: _link_trace(scenario, cfg, dt, realization, link, store.envelopes[realization, link]),
     )
 
 

@@ -719,7 +719,12 @@ class TestAuxiliaryGainStatistics:
     # overflows); both c above 708.4 with |cz - cx| <= 1, unequal and equal
     # variances; g0^3 subnormal; three domain_grid edge rows whose
     # e^{-min(cx, cz)} is subnormal (3.8e-308, 7.1e-312 and 9.2e-315; the
-    # last is 1e-9 coarse in the subnormal range)
+    # last is 1e-9 coarse in the subnormal range); and four whose plain
+    # product would pass through a subnormal: g0^3/(ox oz) before a Jh of
+    # 1e47 lifts it, (g0/ox)(g0/oz) Jh before g0 = 2e93 lifts it, g0/ox
+    # itself, and (g0/ox)(g0/oz) = 1e-320 before a Jh of 1e150 lifts it
+    # (60-digit mpmath); last, |lambda|^{3/2} overflowing with a tail of
+    # link b so small that D(x) - x rounds to 0 (ValueError before)
     @pytest.mark.parametrize(
         "case, rate, rel",
         [
@@ -738,6 +743,14 @@ class TestAuxiliaryGainStatistics:
              7.0895919141331111e-312, 1e-12),
             ((50.15597248930373, 0.45696726088678064, 3.4568010945572594, 81.55870424508754, 60.28994145373131),
              9.2408906940069592e-315, 1e-9),
+            ((3.766616693779297e-106, 747.9404665928821, 10.001087260173033, 2010.603552837594, 1.743835113771814e+94),
+             5.0181258030674468e-274, 1e-12),
+            ((2.3598608530666947e+93, 1.1032177180636325e+230, 256.9801712848013, 4.553924686932339e-224,
+              64.08153589549346), 8.2250782302378219e-229, 1e-12),
+            ((2.6792314290863697e-151, 1.2074491944834263e+170, 7.936997606811468e-267, 1.73533063673658e+243, 0.0),
+             4.4467784405105908e-235, 1e-12),
+            ((1e-100, 1e60, 1e60, 1e300, 1e300), 7.9788456080286551e-271, 1e-12),
+            ((1.0, 1.0, 1e-210, 1.0, 1e-250), 0.29352532634747980, 1e-12),
         ],
     )
     def test_lcr_u_where_its_direct_form_under_or_overflows(self, case, rate, rel):
@@ -768,10 +781,21 @@ class TestAuxiliaryGainStatistics:
                 lcr_u(*args)
 
     def test_lcr_u_symmetric_under_link_swap(self):
-        # sqrt(X^2 + Z^2) does not care which link is which
-        assert lcr_u(4.0, 0.3, 2.0, 11.0, 0.9) == pytest.approx(
-            lcr_u(4.0, 2.0, 0.3, 0.9, 11.0), rel=1e-12
-        )
+        # sqrt(X^2 + Z^2) does not care which link is which, and lcr_u orders
+        # the links itself, so a swap returns the same float on every path
+        # and in both assemblies
+        cases = [
+            (2.0, 4.0, 2.0, 7.0, 7.0),  # equal variances
+            (0.8, 1.0, 0.48854961832061067, 2.0, 2.00004),  # fixed rule
+            (1.0, 2.0, 2.0, 1.0, 3.0),  # fixed rule at equal c, ordered by variance
+            (4.0, 0.3, 2.0, 11.0, 0.9),  # closed form
+            (5.0, 0.3, 1.0, 0.0, 1.0),  # static link, closed form
+            (0.5, 1.0, 2.0, 0.0, 3.0),  # static link, fixed rule
+            (29.2, 1.2, 1.201, 1.0, 3.0),  # log assembly, log Jh from Jh
+            (1.0, 1e-300, 1.0, 1.0, 2.0),  # log assembly, _lcr_log_tail
+        ]
+        for g0, ox, oz, s2x, s2z in cases:
+            assert lcr_u(g0, ox, oz, s2x, s2z) == lcr_u(g0, oz, ox, s2z, s2x), (g0, ox, oz, s2x, s2z)
 
 
 class TestDecodeForward:
@@ -826,6 +850,12 @@ class TestSelectionRelaying:
         p3, _ = sr_switch_probs(1.0, 1.0 / 1400.0, 1.0 / 1400.0)  # u = 700
         assert p3 == pytest.approx(9.85967654375977e-305, rel=1e-12, abs=0.0)
         assert sr_switch_probs(1.0, 1.0 / 1600.0, 1.0 / 1600.0) == (0.0, 0.0)  # u = 800
+
+    def test_switch_probabilities_at_a_subnormal_g0_squared(self):
+        # g0^2 = 1e-320 is subnormal; forming it put p4 1.1e-5 and the
+        # equal-gain p3 2.2e-5 off.  60-digit mpmath at the same doubles
+        assert sr_switch_probs(1e-160, 1e-300, 3e-300)[1] == pytest.approx(4.9999999999999998e-21, rel=1e-13, abs=0.0)
+        assert sr_switch_probs(1e-160, 1e-300, 1e-300)[0] == pytest.approx(1.2499999999999999e-41, rel=1e-13, abs=0.0)
 
     def test_switch_probabilities_where_u_overflows(self):
         # u = g0^2/(2 omega_x) = inf: the limit (0, e^-2z), (0, 0) once z = inf too

@@ -121,6 +121,11 @@ class TestGeneration:
             gen_m2m_rayleigh(1.0, 0.0, 0.0, cfg)
         tr = gen_m2m_rayleigh(1.0, 0.0, 0.0, cfg, static_fallback=True)
         assert np.all(tr.samples == tr.samples[0])
+        assert tr.dt == 1.0
+        # an explicit dt = 0.0 is refused, as on a moving link, not replaced by 1
+        for f_rx in (0.0, 1.0):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                gen_m2m_rayleigh(1.0, 0.0, f_rx, cfg, dt=0.0, static_fallback=True)
 
     @pytest.mark.parametrize("n_sinusoids", [16, 17, 32, 64])
     @pytest.mark.parametrize("n_samples", [100, 1000, 65_537, N_CROSSING_CHUNK])
