@@ -220,11 +220,13 @@ def _domain_error(**args: float) -> ValueError:
 def rayleigh_cdf(x: float, omega: float) -> float:
     """CDF of a Rayleigh envelope with mean square omega, Pr{gain <= x}.
 
-    A NaN or infinite argument, x < 0 or omega <= 0 raise ValueError.
+    x^2 / omega is taken as (x / omega) x, as rayleigh_lcr takes it, so a
+    subnormal x^2 is never formed.  A NaN or infinite argument, x < 0 or
+    omega <= 0 raise ValueError.
     """
     if not (0.0 <= x < math.inf and 0.0 < omega < math.inf):
         raise _domain_error(x=x, omega=omega)
-    return -math.expm1(-x * x / omega)
+    return -math.expm1(-(x / omega) * x)
 
 
 def rayleigh_lcr(level: float, omega: float, sigma2: float) -> float:
@@ -233,19 +235,21 @@ def rayleigh_lcr(level: float, omega: float, sigma2: float) -> float:
     Rice's formula for an envelope with mean square omega whose underlying
     quadratures have derivative variance sigma2:
         sqrt(2 * sigma2 / pi) * (level / omega) * exp(-level^2 / omega).
-    Where exp(-level^2 / omega) is not a normal float, the three factors
-    meet as one exp of the sum of their logs, so level / omega > 1 lifts
-    the result without losing digits and an overflowing level / omega
-    gives 0, not inf * 0.  level^2 / omega is taken as (level / omega)
-    level, as lcr_u takes its c, so a subnormal level^2 is never formed.  A
-    NaN or infinite argument, level or sigma2 < 0, or omega <= 0 raise
-    ValueError.
+    Where exp(-level^2 / omega) or a nonzero level / omega is not a normal
+    float, the three factors meet as one exp of the sum of their logs, so
+    level / omega > 1 lifts the result without losing digits, an
+    overflowing level / omega gives 0, not inf * 0, and a large sigma2
+    lifts a subnormal level / omega without losing digits.
+    level^2 / omega is taken as (level / omega) level, as lcr_u takes its
+    c, so a subnormal level^2 is never formed.  A NaN or infinite argument,
+    level or sigma2 < 0, or omega <= 0 raise ValueError.
     """
     if not (0.0 <= level < math.inf and 0.0 < omega < math.inf and 0.0 <= sigma2 < math.inf):
         raise _domain_error(level=level, omega=omega, sigma2=sigma2)
-    c = level / omega * level
-    if c <= _EXP_NORMAL:
-        return math.sqrt(2.0 * sigma2 / math.pi) * (level / omega) * math.exp(-c)
+    f = level / omega
+    c = f * level
+    if c <= _EXP_NORMAL and (f >= sys.float_info.min or level == 0.0):
+        return math.sqrt(2.0 * sigma2 / math.pi) * f * math.exp(-c)
     if sigma2 == 0.0:
         return 0.0
     return math.exp(0.5 * math.log(sigma2 * (2.0 / math.pi)) + math.log(level) - math.log(omega) - c)

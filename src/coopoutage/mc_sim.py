@@ -42,22 +42,22 @@ link's own parameters; _link_trace draws link 0, 1 or 2 of a Scenario,
 for gen_link_traces, or straight into its row of validate's trace store.
 
 The traces depend on the gains, the Dopplers and the TraceConfig, not on
-the protocol or the SNR.  validate therefore draws each (realization,
-link) envelope once per Scenario instance and keeps it on the instance
-(_cached_link), so validating every protocol of one scenario composes the
-same samples: common random numbers across protocols, with every value
-bit-identical to a fresh draw.  The kept envelopes of one TraceConfig
-share one float64 array of shape (n_realizations, 3, n_samples), allocated
-with the store (_TraceStore); each draw writes its row in place, and
-direct-only validation writes link 0's rows only.  One allocation per
-store instead of one per draw also spares the memory system: on glibc,
-freeing it raises malloc's dynamic mmap and trim thresholds to its size,
-so scenario after scenario reuses the heap's pages (a warm pass of the
-benchmark's mc_oracle workload, 4 x 65,536 samples, took 2,016 minor page
-faults with one array per draw and takes none).  gen_link_traces draws
-afresh on each call.
+the protocol or the SNR.  validate therefore draws each link once per
+Scenario instance, for every realization at once, and keeps it on the
+instance in a trace store (_trace_store), so validating every protocol of
+one scenario composes the same samples: common random numbers across
+protocols, with every value bit-identical to a fresh draw.  A store holds
+one TraceConfig's envelopes in one read-only float64 array of shape
+(n_realizations, 3, n_samples), allocated with the store; each draw writes
+its rows in place, and direct-only validation draws link 0 only.  One
+allocation per store instead of one per draw also spares the memory
+system: on glibc, freeing it raises malloc's dynamic mmap and trim
+thresholds to its size, so scenario after scenario reuses the heap's pages
+(a warm pass of the benchmark's mc_oracle workload, 4 x 65,536 samples,
+took 2,016 minor page faults with one array per draw and takes none).
+gen_link_traces draws afresh on each call.
 DF and SR both test U = sqrt(x^2 + z^2) < g0 on the same samples, so that
-mask is computed once per realization and kept beside the envelopes.  It
+mask is computed once per realization and kept in the store.  It
 is decided on squares (_hypot_below): x*x + z*z against g0*g0 wherever
 the two differ by more than a band of relative half-width 2^-48, and by
 np.hypot only for the samples inside the band and NaN samples, or for
@@ -73,7 +73,6 @@ equivalent_gain.
 import math
 import struct
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -327,61 +326,57 @@ def gen_link_traces(
     """The three link envelopes (S->D, S->R, R->D) on a common time base.
 
     Draws them afresh on every call; validate reads the same samples from
-    the scenario's trace store (_cached_link).
+    the scenario's trace store (_trace_store).  An all-static scenario
+    raises StaticLinkError.
     """
     dt = scenario_dt(scenario, cfg)
     return tuple(FadingTrace(dt=dt, samples=_link_trace(scenario, cfg, dt, realization, link)) for link in range(3))
 
 
-class _TraceStore(dict):
-    """validate's trace store for one cfg: {key: read-only array}.
+@dataclass
+class _TraceStore:
+    """validate's traces of one Scenario under one cfg.
 
-    envelopes is one float64 array of shape (n_realizations, 3, n_samples),
-    allocated with the store since cfg fixes its size; the (realization,
-    link) entry is a read-only view of row [realization, link], drawn into
-    it in place.  It is an attribute, not an entry, so the store's entries
-    are the drawn links and the kept masks only.
+    envelopes is one read-only float64 array of shape (n_realizations, 3,
+    n_samples), allocated with the store since cfg fixes its size; links
+    counts the links drawn into it so far, link 0 first, each for every
+    realization.  u_below holds one read-only mask U < g0 per realization,
+    None until DF or SR asks (_outage_mask).
     """
 
-    def __init__(self, cfg: TraceConfig):
-        super().__init__()
-        self.envelopes = np.empty((cfg.n_realizations, 3, cfg.n_samples))
+    cfg: TraceConfig
+    envelopes: np.ndarray
+    links: int = 0
+    u_below: tuple[np.ndarray, ...] | None = None
 
 
-def _cached(scenario: Scenario, cfg: TraceConfig, key, make) -> np.ndarray:
-    """make(store), computed once per Scenario and cfg and kept read-only: validate's trace store.
+def _trace_store(scenario: Scenario, cfg: TraceConfig, dt: float, links: int) -> _TraceStore:
+    """The scenario's trace store for cfg, with its first links links drawn.
 
-    Kept in the instance __dict__ under "_traces" as (cfg, _TraceStore),
-    like the terms of channel.scenario_term: not a field, so equality,
-    hashing, repr and dataclasses.replace ignore it.  It is a cache of its
-    own, since it is keyed by the call's arguments.  A different cfg
-    replaces the whole store, envelope array included, so a scenario holds
-    at most one.  The store's envelope array (3 * n_realizations *
-    n_samples float64, 6.3 MB at 4 x 65,536) is allocated with it; see the
-    module docstring for why it is one array.  The entries are read-only,
-    since every protocol composes the same ones.  A make() that raises
-    keeps nothing.
+    Kept in the instance __dict__ under "_traces", like the terms of
+    channel.scenario_term: not a field, so equality, hashing, repr and
+    dataclasses.replace ignore it.  A different cfg replaces the whole
+    store, envelope array included, so a scenario holds at most one
+    (3 * n_realizations * n_samples float64, 6.3 MB at 4 x 65,536; see the
+    module docstring for why it is one array).  Each missing link is drawn
+    for every realization into its rows (_link_trace).  The array is
+    writeable only while a call draws, so readers, which every protocol
+    shares, see it read-only, also after a draw that raises; such a draw,
+    as that of a static link, leaves its link undrawn.
     """
-    terms = scenario.__dict__
-    traces = terms.get("_traces")
-    if traces is None or traces[0] != cfg:
-        traces = terms["_traces"] = (cfg, _TraceStore(cfg))
-    store = traces[1]
-    value = store.get(key)
-    if value is None:
-        value = store[key] = make(store)
-        value.setflags(write=False)
-    return value
-
-
-def _cached_link(scenario: Scenario, cfg: TraceConfig, dt: float, realization: int, link: int) -> np.ndarray:
-    """Samples of _link_trace(scenario, cfg, dt, realization, link), drawn once per Scenario into its store row."""
-    return _cached(
-        scenario,
-        cfg,
-        (realization, link),
-        lambda store: _link_trace(scenario, cfg, dt, realization, link, store.envelopes[realization, link]),
-    )
+    store = scenario.__dict__.get("_traces")
+    if store is None or store.cfg != cfg:
+        store = scenario.__dict__["_traces"] = _TraceStore(cfg, np.empty((cfg.n_realizations, 3, cfg.n_samples)))
+    if store.links < links:
+        store.envelopes.setflags(write=True)
+        try:
+            for link in range(store.links, links):
+                for r, row in enumerate(store.envelopes[:, link]):
+                    _link_trace(scenario, cfg, dt, r, link, out=row)
+                store.links = link + 1
+        finally:
+            store.envelopes.setflags(write=False)
+    return store
 
 
 def _hypot_below(x: np.ndarray, z: np.ndarray, level: float) -> np.ndarray:
@@ -422,16 +417,8 @@ def _hypot_below(x: np.ndarray, z: np.ndarray, level: float) -> np.ndarray:
     return below
 
 
-def _outage_mask(
-    protocol: Protocol,
-    scenario: Scenario,
-    cfg: TraceConfig,
-    dt: float,
-    realization: int,
-    th: Thresholds,
-    th_mc: Thresholds,
-) -> np.ndarray:
-    """equivalent_gain(protocol, x, y, z, th_mc) < protocol.level(th), on the stored traces.
+def _outage_mask(protocol: Protocol, store: _TraceStore, r: int, th: Thresholds) -> np.ndarray:
+    """equivalent_gain(protocol, x, y, z, th) < protocol.level(th), on the stored traces of realization r.
 
     Direct, DF and SR take mask shortcuts, each the same test sample by
     sample: direct tests x < x0, DF tests min(y, U) < g0 as y < g0 or
@@ -443,25 +430,26 @@ def _outage_mask(
     samples, 2-vCPU VM).  DF and SR read one mask U < g0 per realization,
     _hypot_below(x, z, g0): np.hypot(x, z) < g0 bit for bit, decided on
     squares outside a band of relative half-width 2^-48 and by hypot
-    inside it.  It is kept in the trace store under (realization,
-    "u_below"), one byte per sample; g0 is fixed by the scenario, so the
-    key needs only the realization.  Every other protocol (AF) composes
-    its float gain through equivalent_gain, which raises on a protocol it
-    does not know.
+    inside it.  The first of them to ask computes it for every realization
+    and keeps it read-only in the store's u_below, one byte per sample; g0
+    is fixed by the scenario, so the store needs no key for it.  Every
+    other protocol (AF) composes its float gain through equivalent_gain,
+    which raises on a protocol it does not know.
     """
-    link = partial(_cached_link, scenario, cfg, dt, realization)
+    x, y, z = store.envelopes[r]
     level = protocol.level(th)
-    x = link(0)
     if protocol is Protocol.DIRECT:
         return x < level
-    y, z = link(1), link(2)
     if protocol is Protocol.DF or protocol is Protocol.SR:
-        u_below = _cached(scenario, cfg, (realization, "u_below"), lambda _: _hypot_below(x, z, level))
+        if store.u_below is None:
+            store.u_below = tuple(_hypot_below(xr, zr, level) for xr, _, zr in store.envelopes)
+            for mask in store.u_below:
+                mask.setflags(write=False)
         if protocol is Protocol.DF:
-            return (y < level) | u_below
+            return (y < level) | store.u_below[r]
         off = y <= th.y0
-        return (off & (np.sqrt(2.0) * x < level)) | (u_below & ~off)
-    return equivalent_gain(protocol, x, y, z, th_mc) < level
+        return (off & (np.sqrt(2.0) * x < level)) | (store.u_below[r] & ~off)
+    return equivalent_gain(protocol, x, y, z, th) < level
 
 
 def equivalent_gain(protocol: Protocol, x, y, z, thresholds: Thresholds):
@@ -656,30 +644,31 @@ def validate(
     (_outage_mask: sample by sample the same test as equivalent_gain(...)
     < level), merges the counts of each mask (CrossingCounts.from_mask),
     and reports relative deviations against the analytical values.  Each
-    (realization, link) envelope is drawn on first use and kept on the
-    scenario for later calls under the same cfg (_cached_link), so every
-    protocol of one scenario composes the same samples as gen_link_traces
-    would draw; DF and SR also share one kept mask U < g0 per realization,
-    exactly np.hypot(x, z) < g0, decided on squares outside a band of
-    relative half-width 2^-48 and by hypot inside it (_hypot_below).
-    Direct transmission reads only the S->D trace (its equivalent gain), so
-    it needs no moving relay; AF, DF and SR add the S->R and R->D traces.
-    The kept arrays cost one (n_realizations, 3, n_samples) float64 array,
-    allocated on the first call under a cfg even where only direct
-    transmission (link 0) is drawn, plus n_realizations * n_samples bytes
-    once DF or SR ran, until the scenario is dropped or validated under
-    another cfg, which replaces them.  zero_c1 drops the AF relay
-    gain constant to its high-SNR limit (the trace side only), which
-    checks the idealised relayed-path composition.
+    link is drawn on first use, for every realization at once, and kept on
+    the scenario for later calls under the same cfg (_trace_store), so
+    every protocol of one scenario composes the same samples as
+    gen_link_traces would draw; DF and SR also share one kept mask U < g0
+    per realization, exactly np.hypot(x, z) < g0, decided on squares
+    outside a band of relative half-width 2^-48 and by hypot inside it
+    (_hypot_below).  Direct transmission reads only the S->D trace (its
+    equivalent gain), so it needs no moving relay; AF, DF and SR add the
+    S->R and R->D traces.  The kept arrays cost one (n_realizations, 3,
+    n_samples) float64 array, allocated on the first call under a cfg even
+    where only direct transmission (link 0) is drawn, plus n_realizations *
+    n_samples bytes once DF or SR ran, until the scenario is dropped or
+    validated under another cfg, which replaces them.  zero_c1 drops the AF
+    relay gain constant to its high-SNR limit (the trace side only), which
+    checks the idealised relayed-path composition; the masks read only g0,
+    x0 and y0, which zero_c1 leaves as they are.
     """
     exact = metrics(scenario, protocol)
     _, th = scenario.derived
     th_mc = replace(th, c1=0.0) if zero_c1 else th
     dt = scenario_dt(scenario, cfg)
+    store = _trace_store(scenario, cfg, dt, 1 if protocol is Protocol.DIRECT else 3)
     counts = CrossingCounts()
     for r in range(cfg.n_realizations):
-        below = _outage_mask(protocol, scenario, cfg, dt, r, th, th_mc)
-        counts = counts.merge(CrossingCounts.from_mask(below, dt))
+        counts = counts.merge(CrossingCounts.from_mask(_outage_mask(protocol, store, r, th_mc), dt))
     emp = EmpiricalMetrics.from_counts(counts)
 
     def entry(name, ex, est, tol):

@@ -192,6 +192,18 @@ class TestRayleighCdf:
         omega = 1.7
         assert rayleigh_cdf(math.sqrt(omega), omega) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "args, p",
+        [
+            # x^2 is subnormal; forming it put these 1.1e-5 and 9.8e-2 off.
+            # 50-digit mpmath
+            ((1e-160, 1e-300), 1e-20),
+            ((3e-162, 1e-310), 8.9999999999996224e-14),
+        ],
+    )
+    def test_subnormal_squared_argument(self, args, p):
+        assert rayleigh_cdf(*args) == pytest.approx(p, rel=1e-14, abs=0.0)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             rayleigh_cdf(-0.1, 1.0)
@@ -228,6 +240,8 @@ class TestRayleighLcr:
         [
             # level/omega overflows where exp(-level^2/omega) is 0 (nan before)
             ((1.0, 1e-310, 1.0), 0.0),
+            # a static link where exp(-level^2/omega) underflows
+            ((30.0, 1.0, 0.0), 0.0),
             # exp(-level^2/omega) subnormal, lifted by level/omega: 50-digit
             # mpmath, the last one a domain_grid edge row that underflowed to 0
             ((29.2, 1.2, 5.0), 1.1400418495809196e-307),
@@ -244,6 +258,20 @@ class TestRayleighLcr:
         # level^2 = 1e-320 is subnormal; forming it put the rate 1.1e-5 off.
         # 50-digit mpmath
         assert rayleigh_lcr(1e-160, 1e-320, 1.0) == pytest.approx(2.9352532632928982e159, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "args, rate",
+        [
+            # level/omega is subnormal and a large sigma2 lifts the rate into
+            # the normal range; the linear product put these 1.1e-5, 3.4e-4
+            # and 1.2e-2 off.  50-digit mpmath
+            ((1e-170, 1e150, 1e200), 7.9788456080286535e-221),
+            ((3e-171, 1e150, 1e300), 2.3936536824085961e-171),
+            ((1e-160, 1e163, 1e250), 7.9788456080286536e-199),
+        ],
+    )
+    def test_subnormal_level_over_omega(self, args, rate):
+        assert rayleigh_lcr(*args) == pytest.approx(rate, rel=1e-12, abs=0.0)
 
     def test_quadrupled_derivative_variance_doubles_rate(self):
         for level in (0.2, 0.9, 2.1):

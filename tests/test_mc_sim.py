@@ -126,6 +126,10 @@ class TestGeneration:
         for f_rx in (0.0, 1.0):
             with pytest.raises(ValueError, match="dt must be positive and finite"):
                 gen_m2m_rayleigh(1.0, 0.0, f_rx, cfg, dt=0.0, static_fallback=True)
+        # no link of an all-static scenario has a common time base
+        static = Scenario(gamma0=10.0, r0=0.5, dopplers=NodeDopplers(0.0, 0.0, 0.0))
+        with pytest.raises(StaticLinkError, match="^all node Dopplers are zero$"):
+            gen_link_traces(static, cfg)
 
     @pytest.mark.parametrize("n_sinusoids", [16, 17, 32, 64])
     @pytest.mark.parametrize("n_samples", [100, 1000, 65_537, N_CROSSING_CHUNK])
@@ -394,8 +398,9 @@ class TestValidate:
         cfg = TraceConfig(n_samples=4096, seed=5)
         _, th = derive(sc)
         unknown = types.SimpleNamespace(token="new", level=Protocol.SR.level)
+        store = mc_sim._trace_store(sc, cfg, mc_sim.scenario_dt(sc, cfg), 3)
         with pytest.raises(ValueError, match="unknown protocol"):
-            mc_sim._outage_mask(unknown, sc, cfg, mc_sim.scenario_dt(sc, cfg), 0, th, th)
+            mc_sim._outage_mask(unknown, store, 0, th)
 
     @pytest.mark.parametrize("y0", [None, 0.8])
     def test_sr_mask_is_the_selected_gain_below_g0(self, y0):
@@ -410,11 +415,8 @@ class TestValidate:
         ys = [0.0, np.nextafter(th.y0, 0.0), th.y0, np.nextafter(th.y0, math.inf), 3.0 * th.y0, math.nan]
         zs = [0.0, 0.5 * g0, np.nextafter(g0, 0.0), g0, math.nan]
         x, y, z = (a.ravel() for a in np.meshgrid(xs, ys, zs, indexing="ij"))
-        cfg = TraceConfig(n_samples=len(x))
-        store = mc_sim._TraceStore(cfg)
-        store.update({(0, 0): x, (0, 1): y, (0, 2): z})
-        sc.__dict__["_traces"] = (cfg, store)
-        mask = mc_sim._outage_mask(Protocol.SR, sc, cfg, 1.0, 0, th, th)
+        store = mc_sim._TraceStore(TraceConfig(n_samples=len(x)), np.stack([x, y, z])[None], links=3)
+        mask = mc_sim._outage_mask(Protocol.SR, store, 0, th)
         expected = equivalent_gain(Protocol.SR, x, y, z, th) < g0
         assert np.array_equal(mask, expected)
         assert 0 < np.count_nonzero(expected) < len(x)
@@ -560,17 +562,20 @@ class TestTraceReuse:
         validate(sc, Protocol.AF, self.CFG)
         other = dataclasses.replace(self.CFG, seed=6)
         validate(sc, Protocol.AF, other)
-        cfg, store = sc.__dict__["_traces"]
-        assert cfg == other and len(store) == 3 * other.n_realizations
+        store = sc.__dict__["_traces"]
+        assert store.cfg == other and store.links == 3 and store.u_below is None
+        assert np.array_equal(store.envelopes[1, 2], gen_link_traces(sc, other, realization=1)[2].samples)
 
     def test_cached_samples_are_read_only(self):
         sc = self.scenario()
         validate(sc, Protocol.AF, self.CFG)
-        _, store = sc.__dict__["_traces"]
-        for samples in store.values():
-            assert not samples.flags.writeable
-            with pytest.raises(ValueError):
-                samples[0] = 0.0
+        envelopes = sc.__dict__["_traces"].envelopes
+        assert not envelopes.flags.writeable
+        for r in range(self.CFG.n_realizations):
+            for samples in envelopes[r]:
+                assert not samples.flags.writeable
+                with pytest.raises(ValueError):
+                    samples[0] = 0.0
 
     def test_all_protocols_take_one_u_mask_per_realization(self, monkeypatch):
         masks, hypot_sizes = [], []
@@ -598,47 +603,50 @@ class TestTraceReuse:
         sc = self.scenario()
         validate(sc, Protocol.SR, self.CFG)
         _, th = derive(sc)
-        _, store = sc.__dict__["_traces"]
-        for r in range(self.CFG.n_realizations):
+        store = sc.__dict__["_traces"]
+        assert len(store.u_below) == self.CFG.n_realizations
+        for r, mask in enumerate(store.u_below):
             x, _, z = gen_link_traces(sc, self.CFG, realization=r)
-            mask = store[r, "u_below"]
             assert mask.dtype == bool and np.array_equal(mask, np.hypot(x.samples, z.samples) < th.g0)
             assert not mask.flags.writeable
             with pytest.raises(ValueError):
                 mask[0] = True
         other = dataclasses.replace(self.CFG, seed=6)
         validate(sc, Protocol.AF, other)
-        cfg, store = sc.__dict__["_traces"]
-        assert cfg == other and all(key[1] != "u_below" for key in store)
+        store = sc.__dict__["_traces"]
+        assert store.cfg == other and store.u_below is None
 
     def test_links_are_views_of_one_array_per_store(self):
         sc = self.scenario()
         for protocol in Protocol:
             validate(sc, protocol, self.CFG)
-        _, store = sc.__dict__["_traces"]
+        store = sc.__dict__["_traces"]
         envelopes = store.envelopes
         shape = (self.CFG.n_realizations, 3, self.CFG.n_samples)
         assert envelopes.shape == shape and envelopes.dtype == np.float64
-        links = {key: samples for key, samples in store.items() if key[1] != "u_below"}
-        assert len(links) == 3 * self.CFG.n_realizations
-        for (r, link), samples in links.items():
-            assert samples.base is envelopes and np.shares_memory(samples, envelopes[r, link])
-            assert not samples.flags.writeable
-            assert np.array_equal(samples, gen_link_traces(sc, self.CFG, realization=r)[link].samples)
+        assert envelopes.flags.owndata and not envelopes.flags.writeable
+        assert store.links == 3
+        for r in range(self.CFG.n_realizations):
+            for link, trace in enumerate(gen_link_traces(sc, self.CFG, realization=r)):
+                assert np.array_equal(envelopes[r, link], trace.samples)
         other = dataclasses.replace(self.CFG, seed=6)
         validate(sc, Protocol.AF, other)
-        _, store = sc.__dict__["_traces"]
+        store = sc.__dict__["_traces"]
         assert store.envelopes.shape == shape and not np.shares_memory(store.envelopes, envelopes)
-        assert all(samples.base is store.envelopes for samples in store.values())
+        assert store.envelopes.flags.owndata and not store.envelopes.flags.writeable
 
     def test_static_relay_draws_only_link_0(self):
         sc = self.scenario(dopplers=(0.0, 0.0, 1.0))
         validate(sc, Protocol.DIRECT, self.CFG)
         with pytest.raises(StaticLinkError):
             validate(sc, Protocol.AF, self.CFG)
-        _, store = sc.__dict__["_traces"]
-        assert sorted(store) == [(r, 0) for r in range(self.CFG.n_realizations)]
-        assert all(np.shares_memory(store[r, 0], store.envelopes[r, 0]) for r in range(self.CFG.n_realizations))
+        store = sc.__dict__["_traces"]
+        assert store.links == 1 and store.u_below is None
+        assert not store.envelopes.flags.writeable
+        dt = mc_sim.scenario_dt(sc, self.CFG)
+        for r in range(self.CFG.n_realizations):
+            x = gen_m2m_rayleigh(1.0, 0.0, 1.0, self.CFG, dt=dt, realization=r, link=0)
+            assert np.array_equal(store.envelopes[r, 0], x.samples)
 
     def test_static_relay_keeps_the_direct_traces(self, draws):
         # --doppler 0,0,1: AF fails on the static S-R link after direct filled link 0
@@ -724,4 +732,9 @@ class TestTraceFile:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(ValueError):
+            read_trace(path)
+        # a header promising more samples than the file holds
+        write_trace(path, FadingTrace(dt=0.125, samples=np.linspace(0.0, 1.0, 7)))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="^trace file truncated$"):
             read_trace(path)
