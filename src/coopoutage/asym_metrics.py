@@ -48,6 +48,16 @@ class AsymMetrics:
     slope_aor: float
     slope_aod: float
 
+    def __init__(self, p_out, aor, aod, slope_op, slope_aor, slope_aod):
+        # fills __dict__ directly, not by object.__setattr__: see the channel docstring
+        d = self.__dict__
+        d["p_out"] = p_out
+        d["aor"] = aor
+        d["aod"] = aod
+        d["slope_op"] = slope_op
+        d["slope_aor"] = slope_aor
+        d["slope_aod"] = slope_aod
+
 
 class Table1System(Enum):
     """Systems covered by the symmetric-network coefficient table.

@@ -8,16 +8,24 @@ derivative is zero-mean Gaussian with variance pi^2 * omega * f_m^2 built
 from the two terminal Dopplers of that link.
 
 derive(scenario) turns an operating point into those link quantities and
-the outage thresholds.  A Scenario derives itself once, on first use of
-its ``derived`` attribute, and every metric reads that cached value.  A
-function decorated with scenario_term is a further per-operating-point
-term: computed once per Scenario instance and kept on it the same way.
+the outage thresholds.  A function decorated with scenario_term is a
+per-operating-point term: computed once per Scenario instance, on first
+use, and kept in its __dict__.  A Scenario's ``derived`` attribute is
+such a term, derive(self), read through a lock-free non-data descriptor,
+and every metric reads that kept value.
+
+The result records (LinkDerived, Thresholds, and the metrics records of
+exact_metrics and asym_metrics) are frozen dataclasses with a hand-written
+__init__ that fills the instance __dict__ directly: the generated frozen
+__init__ pays one object.__setattr__ per field and takes about twice as
+long, and every scalar closed-form call builds such records (README,
+"Performance").
 """
 
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import wraps
 
 __all__ = [
     "MobilityError",
@@ -32,8 +40,9 @@ __all__ = [
 ]
 
 
-# e^{-c} is a normal float for c up to -log of the smallest one, 708.396...
-_EXP_NORMAL = -math.log(sys.float_info.min)
+# the smallest normal float; e^{-c} is a normal float for c up to -log of it, 708.396...
+_TINY = sys.float_info.min
+_EXP_NORMAL = -math.log(_TINY)
 
 
 class MobilityError(ValueError):
@@ -90,6 +99,59 @@ class LinkDerived:
     sigma2_y: float
     sigma2_z: float
 
+    def __init__(self, f_x, f_y, f_z, sigma2_x, sigma2_y, sigma2_z):
+        d = self.__dict__
+        d["f_x"] = f_x
+        d["f_y"] = f_y
+        d["f_z"] = f_z
+        d["sigma2_x"] = sigma2_x
+        d["sigma2_y"] = sigma2_y
+        d["sigma2_z"] = sigma2_z
+
+
+def scenario_term(fn):
+    """Decorator: fn(scenario) computed once per Scenario instance, on first use.
+
+    The value is kept in the instance __dict__ under fn's name, where
+    Scenario.derived is kept too: not a field, so equality, hashing, repr
+    and dataclasses.replace ignore it, and a replaced scenario computes it
+    afresh.  A call of fn that raises keeps nothing, so the next access
+    raises again.  None marks a value not yet computed, so fn must not
+    return it.  No lock guards the first computation: two threads may
+    both compute a term, and as fn is a pure function of the scenario
+    both keep equal values.
+    """
+    key = fn.__name__
+
+    @wraps(fn)
+    def term(scenario: "Scenario"):
+        # .get and a None test, not try/except KeyError: raising on every
+        # first access made loops of scalar closed-form calls measurably slower
+        terms = scenario.__dict__
+        value = terms.get(key)
+        if value is None:
+            value = terms[key] = fn(scenario)
+        return value
+
+    return term
+
+
+class _TermAttribute:
+    """A scenario_term read as a Scenario attribute of the term's own name.
+
+    A non-data descriptor: the first read calls the term, which keeps its
+    value in the instance __dict__, and every later read finds it there
+    without calling __get__.  Unlike functools.cached_property before
+    Python 3.12, it takes no lock on the first read.
+    """
+
+    def __init__(self, term):
+        self.term = term
+        self.__doc__ = term.__doc__
+
+    def __get__(self, scenario, owner=None):
+        return self if scenario is None else self.term(scenario)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -102,10 +164,10 @@ class Scenario:
     usual choice y0 = g0.
 
     ``derived`` is derive(self), computed once on first use and kept on the
-    instance.  It is not a field, so equality, hashing, repr and
-    dataclasses.replace ignore it, and a replaced scenario derives afresh.
-    Every function of a Scenario decorated with scenario_term is kept on
-    the instance the same way, under the function's name, on first use.
+    instance, a scenario_term read as an attribute.  It is not a field, so
+    equality, hashing, repr and dataclasses.replace ignore it, and a
+    replaced scenario derives afresh.  Two threads racing on the first
+    read may both derive; derive is pure, so both keep equal values.
     """
 
     gamma0: float
@@ -129,8 +191,13 @@ class Scenario:
             )
         if self.y0 is not None and not (math.isfinite(self.y0) and self.y0 > 0.0):
             raise ValueError("explicit y0 must be finite and strictly positive")
+        # build the instance __dict__ now, in the constructing thread: CPython
+        # 3.11 builds it on first access, and two threads doing that at once
+        # for one scenario is not safe there (scenario_term takes no lock)
+        self.__dict__
 
-    @cached_property
+    @_TermAttribute
+    @scenario_term
     def derived(self) -> "tuple[LinkDerived, Thresholds]":
         """(link quantities, thresholds) of this scenario: derive(self), once."""
         return derive(self)
@@ -151,30 +218,12 @@ class Thresholds:
     c1: float
     y0: float
 
-
-def scenario_term(fn):
-    """Decorator: fn(scenario) computed once per Scenario instance, on first use.
-
-    The value is kept in the instance __dict__ under fn's name, as
-    cached_property keeps Scenario.derived there: not a field, so equality,
-    hashing, repr and dataclasses.replace ignore it, and a replaced
-    scenario computes it afresh.  A call of fn that raises keeps nothing,
-    so the next access raises again.  None marks a value not yet computed,
-    so fn must not return it.
-    """
-    key = fn.__name__
-
-    @wraps(fn)
-    def term(scenario: Scenario):
-        # .get and a None test, not try/except KeyError: raising on every
-        # first access made loops of scalar closed-form calls measurably slower
-        terms = scenario.__dict__
-        value = terms.get(key)
-        if value is None:
-            value = terms[key] = fn(scenario)
-        return value
-
-    return term
+    def __init__(self, g0, x0, c1, y0):
+        d = self.__dict__
+        d["g0"] = g0
+        d["x0"] = x0
+        d["c1"] = c1
+        d["y0"] = y0
 
 
 def derive(scenario: Scenario) -> tuple[LinkDerived, Thresholds]:
@@ -185,21 +234,11 @@ def derive(scenario: Scenario) -> tuple[LinkDerived, Thresholds]:
     f_z = math.hypot(d.f_r, d.f_d)
     pi2 = math.pi**2
     derived = LinkDerived(
-        f_x=f_x,
-        f_y=f_y,
-        f_z=f_z,
-        sigma2_x=pi2 * g.omega_x * f_x**2,
-        sigma2_y=pi2 * g.omega_y * f_y**2,
-        sigma2_z=pi2 * g.omega_z * f_z**2,
+        f_x, f_y, f_z, pi2 * g.omega_x * f_x**2, pi2 * g.omega_y * f_y**2, pi2 * g.omega_z * f_z**2
     )
     g0 = math.sqrt((2.0 ** (2.0 * scenario.r0) - 1.0) / scenario.gamma0)
     x0 = math.sqrt((2.0**scenario.r0 - 1.0) / scenario.gamma0)
-    thresholds = Thresholds(
-        g0=g0,
-        x0=x0,
-        c1=1.0 / scenario.gamma0,
-        y0=scenario.y0 if scenario.y0 is not None else g0,
-    )
+    thresholds = Thresholds(g0, x0, 1.0 / scenario.gamma0, scenario.y0 if scenario.y0 is not None else g0)
     return derived, thresholds
 
 
@@ -239,7 +278,9 @@ def rayleigh_lcr(level: float, omega: float, sigma2: float) -> float:
     float, the three factors meet as one exp of the sum of their logs, so
     level / omega > 1 lifts the result without losing digits, an
     overflowing level / omega gives 0, not inf * 0, and a large sigma2
-    lifts a subnormal level / omega without losing digits.
+    lifts a subnormal level / omega without losing digits.  A nonzero
+    subnormal sigma2 takes sqrt(sigma2) sqrt(2 / pi), as 2 sigma2 / pi
+    would round to a subnormal with few digits.
     level^2 / omega is taken as (level / omega) level, as lcr_u takes its
     c, so a subnormal level^2 is never formed.  A NaN or infinite argument,
     level or sigma2 < 0, or omega <= 0 raise ValueError.
@@ -248,8 +289,10 @@ def rayleigh_lcr(level: float, omega: float, sigma2: float) -> float:
         raise _domain_error(level=level, omega=omega, sigma2=sigma2)
     f = level / omega
     c = f * level
-    if c <= _EXP_NORMAL and (f >= sys.float_info.min or level == 0.0):
-        return math.sqrt(2.0 * sigma2 / math.pi) * f * math.exp(-c)
+    if c <= _EXP_NORMAL and (f >= _TINY or level == 0.0):
+        if sigma2 >= _TINY:
+            return math.sqrt(2.0 * sigma2 / math.pi) * f * math.exp(-c)
+        return math.sqrt(sigma2) * math.sqrt(2.0 / math.pi) * f * math.exp(-c)
     if sigma2 == 0.0:
         return 0.0
     return math.exp(0.5 * math.log(sigma2 * (2.0 / math.pi)) + math.log(level) - math.log(omega) - c)

@@ -126,6 +126,13 @@ class OutageMetrics:
     aor: float
     aod: float | None
 
+    def __init__(self, p_out, aor, aod):
+        # fills __dict__ directly, not by object.__setattr__: see the channel docstring
+        d = self.__dict__
+        d["p_out"] = p_out
+        d["aor"] = aor
+        d["aod"] = aod
+
 
 def _equalish(a: float, b: float) -> bool:
     return abs(a - b) <= _EQUAL_BRANCH_TOL * max(abs(a), abs(b))
@@ -830,4 +837,4 @@ def metrics(scenario: Scenario, protocol: Protocol) -> OutageMetrics:
     aod = p_out / aor if aor > 0.0 else None
     if aod == math.inf:
         raise OverflowError(f"{protocol.token}: outage duration OP/AOR overflows at AOR {aor:.6g} Hz")
-    return OutageMetrics(p_out=p_out, aor=aor, aod=aod)
+    return OutageMetrics(p_out, aor, aod)

@@ -1,17 +1,23 @@
 """Scenario derivation, Rayleigh statistics, and threshold scaling."""
 
+import copy
 import dataclasses
+import inspect
 import math
+import pickle
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from coopoutage import Protocol, asym, channel, metrics
+from coopoutage import AsymMetrics, OutageMetrics, Protocol, asym, channel, metrics
 from coopoutage.channel import (
+    LinkDerived,
     LinkGains,
     NodeDopplers,
     Scenario,
+    Thresholds,
     derive,
     rayleigh_cdf,
     rayleigh_lcr,
@@ -111,6 +117,175 @@ class TestDerivedCache:
             metrics(sc, protocol)
             asym(sc, protocol)
         assert len(calls) == 1
+
+
+    @pytest.fixture
+    def derive_calls(self, monkeypatch):
+        calls = []
+        original = channel.derive
+
+        def counting(scenario):
+            calls.append(scenario)
+            return original(scenario)
+
+        monkeypatch.setattr(channel, "derive", counting)
+        return calls
+
+    def test_derive_runs_once_per_instance(self, derive_calls):
+        sc, twin = make_scenario(), make_scenario()
+        values = [(sc.derived, twin.derived) for _ in range(3)]
+        assert len(derive_calls) == 2 and derive_calls[0] is sc and derive_calls[1] is twin
+        assert all(a is sc.derived and b is twin.derived for a, b in values)
+
+    def test_kept_in_the_instance_dict_beside_the_fields(self):
+        sc = make_scenario()
+        fields = {f.name for f in dataclasses.fields(sc)}
+        assert sc.__dict__.keys() == fields
+        value = sc.derived
+        assert sc.__dict__.keys() == fields | {"derived"} and sc.__dict__["derived"] is value
+        assert "derived" not in fields
+        assert "derived" not in dataclasses.replace(sc).__dict__
+
+    def test_replace_derives_afresh_once(self, derive_calls):
+        sc = make_scenario()
+        kept = sc.derived
+        twin = dataclasses.replace(sc)
+        assert twin.derived == kept and twin.derived is not kept
+        assert len(derive_calls) == 2 and derive_calls[1] is twin
+
+    def test_racing_first_reads_keep_equal_values(self, monkeypatch):
+        # no lock: each thread derives, and waits inside derive for the
+        # other to get there too; derive is pure, so both values are equal
+        barrier = threading.Barrier(2, timeout=10.0)
+        original = channel.derive
+
+        def waiting(scenario):
+            barrier.wait()
+            return original(scenario)
+
+        monkeypatch.setattr(channel, "derive", waiting)
+        sc = make_scenario(omegas=(0.7, 1.3, 2.4), dopplers=(1.5, 0.4, 2.2), y0=0.3)
+        values = [None, None]
+
+        def read(i):
+            values[i] = sc.derived
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
+        assert values[0] == values[1] == original(sc)
+        assert any(sc.derived is v for v in values)
+
+    def test_many_threads_read_the_derived_values(self):
+        scenarios = [make_scenario(gamma0=10.0 ** (k / 10.0), r0=0.1 + k / 100.0) for k in range(200)]
+        expected = [derive(sc) for sc in scenarios]
+        seen = [None] * 8
+
+        def read(i):
+            seen[i] = [sc.derived for sc in scenarios]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(len(seen))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(values == expected for values in seen)
+        assert [sc.__dict__["derived"] for sc in scenarios] == expected
+
+
+# (record, positional values, field names, repr)
+RECORDS = [
+    (
+        LinkDerived,
+        (1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+        ("f_x", "f_y", "f_z", "sigma2_x", "sigma2_y", "sigma2_z"),
+        "LinkDerived(f_x=1.0, f_y=2.0, f_z=3.0, sigma2_x=4.0, sigma2_y=5.0, sigma2_z=6.0)",
+    ),
+    (
+        Thresholds,
+        (0.5, 0.25, 0.01, 0.75),
+        ("g0", "x0", "c1", "y0"),
+        "Thresholds(g0=0.5, x0=0.25, c1=0.01, y0=0.75)",
+    ),
+    (
+        OutageMetrics,
+        (0.1, 2.0, None),
+        ("p_out", "aor", "aod"),
+        "OutageMetrics(p_out=0.1, aor=2.0, aod=None)",
+    ),
+    (
+        AsymMetrics,
+        (0.1, 2.0, 0.05, -2.0, -1.5, -0.5),
+        ("p_out", "aor", "aod", "slope_op", "slope_aor", "slope_aod"),
+        "AsymMetrics(p_out=0.1, aor=2.0, aod=0.05, slope_op=-2.0, slope_aor=-1.5, slope_aod=-0.5)",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, values, names, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+class TestResultRecords:
+    """The frozen-dataclass contract of the four result records."""
+
+    def test_fields_in_order(self, cls, values, names, text):
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+        assert tuple(inspect.signature(cls).parameters) == names
+
+    def test_positional_and_keyword_construction(self, cls, values, names, text):
+        rec = cls(*values)
+        assert rec == cls(**dict(zip(names, values)))
+        assert tuple(getattr(rec, n) for n in names) == values
+        assert vars(rec) == dict(zip(names, values))
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+
+    def test_frozen(self, cls, values, names, text):
+        rec = cls(*values)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, name, 0.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(rec, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.extra = 0.0
+        assert tuple(getattr(rec, n) for n in names) == values
+
+    def test_equality_and_hash(self, cls, values, names, text):
+        rec, twin = cls(*values), cls(*values)
+        assert rec == twin and rec is not twin and hash(rec) == hash(twin)
+        other = cls(7.0, *values[1:])
+        assert rec != other and len({rec, twin, other}) == 2
+
+    def test_repr(self, cls, values, names, text):
+        assert repr(cls(*values)) == text
+
+    def test_replace(self, cls, values, names, text):
+        rec = cls(*values)
+        new = dataclasses.replace(rec, **{names[0]: 7.0})
+        assert type(new) is cls and new == cls(7.0, *values[1:])
+        assert dataclasses.replace(rec) == rec
+
+    def test_copy_and_pickle(self, cls, values, names, text):
+        rec = cls(*values)
+        assert copy.copy(rec) == rec and vars(copy.copy(rec)) == vars(rec)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(rec, protocol))
+            assert type(back) is cls and back == rec and vars(back) == vars(rec)
+
+
+def test_thresholds_replace_as_validate_uses_it():
+    _, th = derive(make_scenario(gamma0=100.0))
+    th_mc = dataclasses.replace(th, c1=0.0)
+    assert th_mc == Thresholds(th.g0, th.x0, 0.0, th.y0) and th.c1 == 0.01
 
 
 class TestScenarioTerm:
@@ -272,6 +447,19 @@ class TestRayleighLcr:
     )
     def test_subnormal_level_over_omega(self, args, rate):
         assert rayleigh_lcr(*args) == pytest.approx(rate, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "sigma2, rate",
+        [
+            # 2 sigma2 / pi rounded to a subnormal put these 1.9e-4 and
+            # 4.3e-10 off.  50-digit mpmath
+            (1e-320, 2.9352369246101428e-161),
+            (3e-315, 1.6077044244991523e-158),
+        ],
+    )
+    def test_subnormal_derivative_variance(self, sigma2, rate):
+        assert rayleigh_lcr(1.0, 1.0, sigma2) == pytest.approx(rate, rel=1e-14, abs=0.0)
+        assert rayleigh_lcr(0.0, 1.0, sigma2) == 0.0
 
     def test_quadrupled_derivative_variance_doubles_rate(self):
         for level in (0.2, 0.9, 2.1):
