@@ -191,9 +191,11 @@ class Scenario:
             )
         if self.y0 is not None and not (math.isfinite(self.y0) and self.y0 > 0.0):
             raise ValueError("explicit y0 must be finite and strictly positive")
-        # build the instance __dict__ now, in the constructing thread: CPython
-        # 3.11 builds it on first access, and two threads doing that at once
-        # for one scenario is not safe there (scenario_term takes no lock)
+        # build the instance __dict__ here, in the constructing thread.  CPython
+        # 3.11 builds it on first access; a collection started by that
+        # allocation can run a finaliser that hands the GIL to another thread
+        # making the same first access, and the two dicts then share one
+        # values array, on which the collector later crashes
         self.__dict__
 
     @_TermAttribute
