@@ -281,8 +281,9 @@ def rayleigh_lcr(level: float, omega: float, sigma2: float) -> float:
     level / omega > 1 lifts the result without losing digits, an
     overflowing level / omega gives 0, not inf * 0, and a large sigma2
     lifts a subnormal level / omega without losing digits.  A nonzero
-    subnormal sigma2 takes sqrt(sigma2) sqrt(2 / pi), as 2 sigma2 / pi
-    would round to a subnormal with few digits.
+    subnormal sigma2 takes sqrt(sigma2) sqrt(2 / pi), and in the log form
+    log(sigma2) + log(2 / pi), as 2 sigma2 / pi would round to a subnormal
+    with few digits.
     level^2 / omega is taken as (level / omega) level, as lcr_u takes its
     c, so a subnormal level^2 is never formed.  A NaN or infinite argument,
     level or sigma2 < 0, or omega <= 0 raise ValueError.
@@ -297,4 +298,8 @@ def rayleigh_lcr(level: float, omega: float, sigma2: float) -> float:
         return math.sqrt(sigma2) * math.sqrt(2.0 / math.pi) * f * math.exp(-c)
     if sigma2 == 0.0:
         return 0.0
-    return math.exp(0.5 * math.log(sigma2 * (2.0 / math.pi)) + math.log(level) - math.log(omega) - c)
+    if sigma2 >= _TINY:
+        log_scale = 0.5 * math.log(sigma2 * (2.0 / math.pi))
+    else:
+        log_scale = 0.5 * (math.log(sigma2) + math.log(2.0 / math.pi))
+    return math.exp(log_scale + math.log(level) - math.log(omega) - c)

@@ -11,7 +11,7 @@ duration (AOD) as OP / AOR.
 The AF expressions involve a one-dimensional integral (OP) and a
 two-dimensional integral (AOR), both Gauss-Legendre sums over the same
 outer quadrature: the relayed-path level a in [0, g0^2], split into the
-geometric panels of _outer_panels, with the nodes of _outer_nodes.  aor_af
+geometric panels of _outer_panels, with the nodes of _outer_layer.  aor_af
 gives every outer node its own inner rule in ln t, over the window where
 the inner exponents stay within psi of their peak.  A block is one outer
 panel, and numerics.refine_blocks raises the (outer, inner) orders ((8,
@@ -38,7 +38,12 @@ One window remains (_EQUAL_BRANCH_TOL): Pr{U > g0}'s, exact at every gap.
 Each per-operating-point term is computed once per Scenario through
 channel.scenario_term: Pr{U > g0} and U's crossing rate, which DF and SR
 share (_u_exceeds, _u_lcr), and the AF outer panels with their shares of
-the outer density, which op_af and aor_af share (_outer_panels).
+the outer density (_outer_panels) and the opening round's outer layer,
+which op_af and aor_af share (_opening_layer).  That layer holds the
+outer nodes a of the first two order pairs over every panel, their
+weights, k = sqrt(a(a + c1)/(oy oz)) and b = a(1/oy + 1/oz): op_af's
+relayed-path CDF reads x = 2k and b, aor_af's inner integral k and b.
+Later rounds build their layer with the same function (_outer_layer).
 
 op_af takes each panel's share of the outer density e^-(g0^2 - a)/ox / ox
 in closed form and lets the panel's rule average the relayed-path CDF
@@ -65,7 +70,12 @@ weights (half*oy*k and exp(-(g0^2 - a)/ox - a(1/oy + 1/oz)) per outer
 node, which absorbs the exp(-g0^2/ox) prefactor), so every exponent is
 <= 0 and deep outage underflows to 0 instead of overflowing.  The opening
 round evaluates both opening order pairs of every block on one
-zero-padded grid.
+zero-padded grid.  The grid is inner-node-major, shape (n_inner, blocks,
+M): the per-outer-node k and quartic coefficients are (blocks, M) arrays,
+so a kernel pass that combines them with the grid repeats them as whole
+contiguous rows instead of repeating each value along a short last axis,
+and one matrix product with the pairs' inner weights sums every inner
+rule.
 """
 
 import math
@@ -196,11 +206,19 @@ _SERIES_CD_C = np.stack([_SERIES_C * _SERIES_D, _SERIES_C])
 
 
 def _one_minus_xk1(x: np.ndarray) -> np.ndarray:
-    """1 - x K1(x) for x > 0, free of cancellation as x -> 0."""
-    out = np.empty_like(x)
+    """1 - x K1(x) for x > 0, free of cancellation as x -> 0.
+
+    Where no node reaches _SERIES_X (most of op_af's calls) the series runs
+    on all of x, with no masked scatter; elsewhere the nodes below it take
+    that same path.
+    """
     big = x >= _SERIES_X
-    out[big] = 1.0 - x[big] * _sp.k1(x[big])
-    h = 0.5 * x[~big]
+    if big.any():
+        out = np.empty_like(x)
+        out[big] = 1.0 - x[big] * _sp.k1(x[big])
+        out[~big] = _one_minus_xk1(x[~big])
+        return out
+    h = 0.5 * x.ravel()
     z = h * h
     # z^k for every k by doubling (rows [n, 2n) are rows [0, n) times z^n),
     # cheaper than a float power per entry
@@ -213,19 +231,18 @@ def _one_minus_xk1(x: np.ndarray) -> np.ndarray:
         np.multiply(powers[: len(rows)], powers[n // 2] * powers[n // 2], out=rows)
         n *= 2
     sums = _SERIES_CD_C @ powers
-    out[~big] = z * (sums[0] - 2.0 * np.log(h) * sums[1])
-    return out
+    return (z * (sums[0] - 2.0 * np.log(h) * sums[1])).reshape(x.shape)
 
 
-def _af_relayed_cdf(a, c1: float, oy: float, oz: float):
+def _af_relayed_cdf(b, k):
     """CDF of the relayed-path power Y^2 Z^2 / (Y^2 + Z^2 + C1) at levels a > 0.
 
-    It is 1 - x K1(x) e^-b with x = 2 sqrt(a(a + c1)/(oy oz)) and
-    b = a(1/oy + 1/oz), taken as -expm1(-b) + e^-b (1 - x K1(x)): two
-    nonnegative terms, each accurate as a -> 0.
+    It is 1 - x K1(x) e^-b with x = 2k, k = sqrt(a(a + c1)/(oy oz)) and
+    b = a(1/oy + 1/oz) (the k and b of _outer_layer), taken as
+    -expm1(-b) + e^-b (1 - x K1(x)): two nonnegative terms, each accurate
+    as a -> 0.
     """
-    b = a * (1.0 / oy + 1.0 / oz)
-    return -np.expm1(-b) + np.exp(-b) * _one_minus_xk1(2.0 * np.sqrt(a * (a + c1) / (oy * oz)))
+    return -np.expm1(-b) + np.exp(-b) * _one_minus_xk1(2.0 * k)
 
 
 def _decade_edges(lo: float, hi: float) -> list[float]:
@@ -291,15 +308,16 @@ def _af_rate_rules(orders: tuple) -> tuple:
     """Legendre rules of aor_af's (outer, inner) order pairs, stacked for one grid.
 
     Returns the outer nodes plus 1 and the outer weights of all pairs, one
-    after the other, as columns of M = sum(m) rows; the folded inner nodes
-    of every outer node, shape (M, n) with n half the largest inner order;
-    and each pair's folded inner weights, length n.  An inner rule is
-    folded to its nonnegative half, x[ni//2:] and w[ni//2:]: the rules are
-    symmetric about 0 bit for bit and every inner order is even, so each
-    kept node stands for itself and its mirror, which _af_rate_kernel
-    evaluates with it.  A shorter half is padded with zero-weight nodes at
-    x = 0.  Last, starts: the first of each pair's rows.  The arrays are
-    shared by every call, so they are read-only.
+    after the other, length M = sum(m); the folded inner nodes of every
+    outer node, inner-node-major, shape (n, M) with n half the largest
+    inner order; and the pairs' folded inner weights, one row of length n
+    per pair.  An inner rule is folded to its nonnegative half, x[ni//2:]
+    and w[ni//2:]: the rules are symmetric about 0 bit for bit and every
+    inner order is even, so each kept node stands for itself and its
+    mirror, which _af_rate_kernel evaluates with it.  A shorter half is
+    padded with zero-weight nodes at x = 0.  Last, starts: the first of
+    each pair's columns.  The arrays are built on the first call of each
+    orders and shared by every later one, so they are read-only.
     """
     n = max(ni for _, ni in orders) // 2
     xo, wo, xi, wi = [], [], [], []
@@ -308,27 +326,33 @@ def _af_rate_rules(orders: tuple) -> tuple:
         xo.append(x + 1.0)
         wo.append(w)
         x, w = (r[ni // 2 :] for r in _legendre_base(ni))
-        xi.append(np.repeat([np.pad(x, (0, n - x.size))], m, axis=0))
+        xi.append(np.repeat(np.pad(x, (0, n - x.size))[:, None], m, axis=1))
         wi.append(np.pad(w, (0, n - w.size)))
-    xo, wo, xi = np.concatenate(xo)[:, None], np.concatenate(wo)[:, None], np.concatenate(xi)
+    xo, wo, xi, wi = np.concatenate(xo), np.concatenate(wo), np.hstack(xi), np.stack(wi)
     starts = np.cumsum([0] + [m for m, _ in orders[:-1]])
-    for arr in (xo, wo, xi, *wi, starts):
+    for arr in (xo, wo, xi, wi, starts):
         arr.setflags(write=False)
-    return xo, wo, xi, tuple(wi), starts
+    return xo, wo, xi, wi, starts
 
 
-def _outer_nodes(a_edges: np.ndarray, idx: np.ndarray, xo: np.ndarray, wo: np.ndarray):
-    """Outer nodes a and weights of the AF panels idx, shape (blocks, M, 1).
+def _outer_layer(scenario: Scenario, orders: tuple, idx: np.ndarray) -> tuple:
+    """AF's outer layer at the panels idx and the outer orders of orders.
 
-    xo and wo are the outer columns of _af_rate_rules (Legendre nodes plus
-    1, and weights).  Each panel of a_edges takes its own affine copy of
-    the rule, except the top one, [g0^2 - span, g0^2], which is mapped
-    through a = g0^2 - span*u^2 (weight factor 2u): both AF integrands
-    carry sqrt(g0^2 - a) or a width-ox peak there, smooth in u.  idx is
-    increasing, so the top panel comes last when idx holds it.
+    Returns (a, wa, k, b), each shape (blocks, M) with M the outer nodes of
+    _af_rate_rules(orders): the outer nodes a and their weights wa, then
+    k = sqrt(a(a + c1)/(oy oz)) and b = a(1/oy + 1/oz), which op_af's
+    relayed-path CDF and aor_af's inner integral both read.  Each panel of
+    _outer_panels takes its own affine copy of the rule, except the top
+    one, [g0^2 - span, g0^2], which is mapped through a = g0^2 - span*u^2
+    (weight factor 2u): both AF integrands carry sqrt(g0^2 - a) or a
+    width-ox peak there, smooth in u.  idx is increasing, so the top panel
+    comes last when idx holds it.
     """
-    left = a_edges[idx, None, None]
-    hw = 0.5 * (a_edges[idx + 1, None, None] - left)
+    g = scenario.gains
+    a_edges, _ = _outer_panels(scenario)
+    xo, wo = _af_rate_rules(orders)[:2]
+    left = a_edges[idx, None]
+    hw = 0.5 * (a_edges[idx + 1, None] - left)
     a = left + hw * xo
     wa = hw * wo
     if idx[-1] == a_edges.size - 2:
@@ -336,7 +360,29 @@ def _outer_nodes(a_edges: np.ndarray, idx: np.ndarray, xo: np.ndarray, wo: np.nd
         u = 0.5 * xo
         a[-1] = a_edges[-1] - span * u * u
         wa[-1] = wo * span * u
-    return a, wa
+    k = np.sqrt(a * (a + scenario.derived[1].c1) / (g.omega_y * g.omega_z))
+    return a, wa, k, a * (1.0 / g.omega_y + 1.0 / g.omega_z)
+
+
+@scenario_term
+def _opening_layer(scenario: Scenario) -> tuple:
+    """The outer layer of AF's opening round, once per Scenario, read-only.
+
+    numerics.refine_blocks opens with one call at the first two order pairs
+    over every block, so this is _outer_layer at _AF_RATE_ORDERS[:2] over
+    every panel, which op_af and aor_af share.  Both multiply its weights
+    out of place.  A panel ValueError keeps nothing.
+    """
+    n_blocks = _outer_panels(scenario)[0].size - 1
+    layer = _outer_layer(scenario, _AF_RATE_ORDERS[:2], np.arange(n_blocks))
+    for arr in layer:
+        arr.setflags(write=False)
+    return layer
+
+
+def _af_layer(scenario: Scenario, orders: tuple, idx: np.ndarray) -> tuple:
+    """The outer layer of one refine_blocks call: the kept one for its opening call."""
+    return _opening_layer(scenario) if len(orders) == 2 else _outer_layer(scenario, orders, idx)
 
 
 def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
@@ -345,7 +391,8 @@ def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
     A single integral over the relayed-path power level a in [0, g0^2] of
     the outer density e^-(g0^2 - a)/ox / ox times the relayed-path CDF, on
     aor_af's outer quadrature: the panels of _outer_panels, the outer
-    nodes of _outer_nodes at the outer orders of _AF_RATE_ORDERS, and
+    nodes of _outer_layer at the outer orders of _AF_RATE_ORDERS (the
+    opening round's kept once per Scenario by _opening_layer), and
     numerics.refine_blocks raising each panel's order while its error
     estimate still counts against tol.  A panel's share of the outer
     density is taken in closed form (_outer_panels), and its rule, with
@@ -357,18 +404,17 @@ def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
     _, th = scenario.derived
     if th.g0**2 == 0.0:
         return 0.0
-    g = scenario.gains
+    ox = scenario.gains.omega_x
     a_edges, share = _outer_panels(scenario)
 
     def values(orders, idx: np.ndarray) -> list:
-        xo, wo, _, _, starts = _af_rate_rules(orders)
-        a, wa = _outer_nodes(a_edges, idx, xo, wo)
-        a, wa = a[..., 0], wa[..., 0]
-        wa *= np.exp((a - a_edges[idx + 1, None]) / g.omega_x)
-        # each order's rows of the stacked rule, summed per panel; weights
+        starts = _af_rate_rules(orders)[4]
+        a, wa, k, b = _af_layer(scenario, orders, idx)
+        wa = wa * np.exp((a - a_edges[idx + 1, None]) / ox)
+        # each order's columns of the stacked rule, summed per panel; weights
         # relative to the panel's top underflow only in panels far (~700 ox)
         # below g0^2, whose share is 0 as well
-        cdf = np.add.reduceat(wa * _af_relayed_cdf(a, th.c1, g.omega_y, g.omega_z), starts, axis=1)
+        cdf = np.add.reduceat(wa * _af_relayed_cdf(b, k), starts, axis=1)
         mean = cdf / np.maximum(np.add.reduceat(wa, starts, axis=1), _TINY)
         return list((share[idx, None] * mean).T)
 
@@ -376,11 +422,11 @@ def op_af(scenario: Scenario, tol: float = 1e-8) -> float:
     return min(max(p_out, 0.0), 1.0)
 
 
-def _af_rate_quartic(a, g0sq, c1, s2x, s2y, s2z, oy, oz):
-    """k and the coefficients (q4, ..., q0) of aor_af's quartic at outer nodes a.
+def _af_rate_quartic(a, k, g0sq, c1, s2x, s2y, s2z, oy, oz):
+    """The coefficients (q4, ..., q0) of aor_af's quartic at outer nodes a.
 
-    With k = sqrt(a(a + c1)/(oy oz)), tau = 1/(oy k) and t = tau e, the
-    rate's variance times P^2, P = (at + 1)(at + c1 t + 1), is
+    With k = sqrt(a(a + c1)/(oy oz)), as _outer_layer gives it, tau = 1/(oy k)
+    and t = tau e, the rate's variance times P^2, P = (at + 1)(at + c1 t + 1), is
         svar P^2 = Cx (alpha beta e^2 + (alpha + beta) e + 1)^2
                    + D e^3 (alpha e + 1) + Cz (beta e + 1),
     where alpha = a tau, beta = (a + c1) tau, alpha beta = oz/oy,
@@ -393,7 +439,6 @@ def _af_rate_quartic(a, g0sq, c1, s2x, s2y, s2z, oy, oz):
         q0 = Cx + Cz,
     every one a sum of nonnegative terms for 0 <= a <= g0^2.
     """
-    k = np.sqrt(a * (a + c1) / (oy * oz))
     tau = 1.0 / (oy * k)
     ab = oz / oy
     s = (2.0 * a + c1) * tau  # alpha + beta
@@ -405,7 +450,7 @@ def _af_rate_quartic(a, g0sq, c1, s2x, s2y, s2z, oy, oz):
     q2 = cx * (s * s + 2.0 * ab)
     q1 = two_cx_s + cz * (a + c1) * tau
     q0 = cx + cz
-    return k, (q4, q3, q2, q1, q0)
+    return q4, q3, q2, q1, q0
 
 
 def _af_rate_kernel(e, e_inv, k, q):
@@ -417,8 +462,9 @@ def _af_rate_kernel(e, e_inv, k, q):
     reversed: one mirrored pair of nodes of a symmetric rule in ln e.
     q = (q4, ..., q0) holds the coefficients of the quartic q(e) of
     _af_rate_quartic and e_inv = 1/e; the coefficients and k broadcast
-    against e (aor_af: shape (blocks, M, 1) against (blocks, M, n), every
-    outer node with its own inner nodes).  Horner's rule on a quartic with
+    against e (aor_af: shape (blocks, M) against (n, blocks, M), every
+    outer node with its own inner nodes, so they repeat as whole
+    contiguous (blocks, M) rows).  Horner's rule on a quartic with
     nonnegative coefficients at e > 0 adds only nonnegative terms, so
     neither quartic cancels (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, sec. 5.1).  The pair shares one exp.
@@ -485,9 +531,13 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     nodes each, up to 96 with 512; _AF_RATE_ORDERS), only while its error
     estimate (the change from its previous orders) still counts against
     tol times the total.  The opening round evaluates both opening order
-    pairs of every block on one grid, shape (blocks, 8 + 12, 32): the
-    nonnegative halves of the inner rules, the 24 of the 48-node rule
-    padded with zero weights (_af_rate_rules).
+    pairs of every block on one inner-node-major grid, shape
+    (32, blocks, 8 + 12): the nonnegative halves of the inner rules, the 24
+    of the 48-node rule padded with zero weights (_af_rate_rules).  Its
+    outer layer (a, weights, k, b) is op_af's too, built once per Scenario
+    (_opening_layer).  One matrix product with the pairs' inner weights
+    sums every inner rule, and each pair's columns meet their outer weights
+    in one einsum.
     """
     _require_mobility(scenario)
     g = scenario.gains
@@ -500,19 +550,21 @@ def aor_af(scenario: Scenario, tol: float = 1e-7) -> float:
     a_edges, _ = _outer_panels(scenario)
 
     def values(orders, idx: np.ndarray) -> list:
-        xo, wo, xi, wi, starts = _af_rate_rules(orders)
-        a, wa = _outer_nodes(a_edges, idx, xo, wo)
-        wa *= np.exp(-(g0sq - a) / ox - a * (1.0 / oy + 1.0 / oz))
-        k, q = _af_rate_quartic(a, *args)
+        _, _, xi, wi, starts = _af_rate_rules(orders)
+        a, wa, k, b = _af_layer(scenario, orders, idx)
+        wa = wa * np.exp(-(g0sq - a) / ox - b)
+        q = _af_rate_quartic(a, k, *args)
         half = np.arccosh(1.0 + 0.5 * _PSI / k)
         wa *= half * oy * k
-        # x >= 0, so e >= 1; the kernel adds each node's mirror 1/e
-        e = half * xi
+        # the inner-node-major grid (n, blocks, M); x >= 0, so e >= 1, and
+        # the kernel adds each node's mirror 1/e
+        e = half * xi[:, None, :]
         np.exp(e, out=e)
         kern = _af_rate_kernel(e, np.reciprocal(e), k, q)
+        inner = (wi @ kern.reshape(len(xi), -1)).reshape(len(wi), *a.shape)
         return [
-            np.einsum("bi,bi->b", wa[:, s : s + m, 0], kern[:, s : s + m] @ w)
-            for (m, _), s, w in zip(orders, starts, wi)
+            np.einsum("bi,bi->b", wa[:, s : s + m], row[:, s : s + m])
+            for (m, _), s, row in zip(orders, starts, inner)
         ]
 
     total = refine_blocks(values, a_edges.size - 1, _AF_RATE_ORDERS, tol, "AF outage rate integral")

@@ -493,6 +493,20 @@ class TestRayleighLcr:
         assert rayleigh_lcr(1.0, 1.0, sigma2) == pytest.approx(rate, rel=1e-14, abs=0.0)
         assert rayleigh_lcr(0.0, 1.0, sigma2) == 0.0
 
+    @pytest.mark.parametrize(
+        "sigma2, rate",
+        [
+            # level/omega overflows the normal range, so the rate is taken in
+            # logs; log(2 sigma2 / pi) of the subnormal product put these
+            # 9.7e-9, 4.3e-10 and 0.25 off.  50-digit mpmath
+            (2e-316, 2.894984180802671e-306),
+            (3e-315, 1.1212225473619537e-305),
+            (5e-324, 4.5501270542158e-310),
+        ],
+    )
+    def test_subnormal_derivative_variance_in_the_log_form(self, sigma2, rate):
+        assert rayleigh_lcr(8.405437963324591e-161, 1e-323, sigma2) == pytest.approx(rate, rel=1e-13, abs=0.0)
+
     def test_quadrupled_derivative_variance_doubles_rate(self):
         for level in (0.2, 0.9, 2.1):
             assert rayleigh_lcr(level, 1.3, 4.0 * 0.8) == pytest.approx(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from coopoutage import exact_metrics
 from coopoutage.asym_metrics import asym
@@ -359,7 +360,8 @@ class TestAfOutageRate:
         g = sc.gains
         g0sq, c1, ox, oy, oz = th.g0**2, th.c1, g.omega_x, g.omega_y, g.omega_z
         a, wa, t, wt = af_rate_grid(sc, m)
-        k, q = exact_metrics._af_rate_quartic(a[:, None], g0sq, c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oy, oz)
+        k = np.sqrt(a * (a + c1) / (oy * oz))[:, None]
+        q = exact_metrics._af_rate_quartic(a[:, None], k, g0sq, c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, oy, oz)
         # e = t/t* = t*oy*k per outer node, and dt/t^2 = oy*k * (dt/t)/e
         e = t * (oy * k)
         kern = exact_metrics._af_rate_kernel(e, 1.0 / e, k, q)
@@ -1158,28 +1160,153 @@ class TestSharedAfPanels:
 
     @pytest.mark.parametrize("orders", [exact_metrics._AF_RATE_ORDERS[:2], exact_metrics._AF_RATE_ORDERS[5:6]])
     def test_rule_offsets_match_the_order_pairs(self, orders):
+        # inner-node-major: one column per outer node, one weight row per pair
         xo, wo, xi, wi, starts = exact_metrics._af_rate_rules(orders)
         sizes = [m for m, _ in orders]
-        assert list(np.diff([*starts, xo.shape[0]])) == sizes
-        assert starts[0] == 0 and xo.shape[0] == wo.shape[0] == xi.shape[0] == sum(sizes)
+        assert list(np.diff([*starts, xo.size])) == sizes
+        assert starts[0] == 0 and xo.shape == wo.shape == (sum(sizes),) and xi.shape[1] == sum(sizes)
+        assert wi.shape == (len(orders), xi.shape[0])
 
     @pytest.mark.parametrize(
         "orders", [exact_metrics._AF_RATE_ORDERS[:2], *((pair,) for pair in exact_metrics._AF_RATE_ORDERS)]
     )
     def test_inner_rules_are_folded_halves(self, orders):
-        # each pair's inner rows hold the nonnegative half of its rule, which
-        # mirrored is the whole rule, then zero-weight padding at x = 0
+        # each pair's inner columns hold the nonnegative half of its rule,
+        # which mirrored is the whole rule, then zero-weight padding at x = 0
         _, _, xi, wi, starts = exact_metrics._af_rate_rules(orders)
-        assert xi.shape[1] == max(ni for _, ni in orders) // 2
+        assert xi.shape[0] == max(ni for _, ni in orders) // 2
         assert np.all(xi >= 0.0)
         for (m, ni), s, w in zip(orders, starts, wi):
             half = ni // 2
             x_full, w_full = _legendre_base(ni)
-            for x in xi[s : s + m]:
+            for x in xi[:, s : s + m].T:
                 assert np.array_equal(np.concatenate([-x[half - 1 :: -1], x[:half]]), x_full)
                 assert np.all(x[half:] == 0.0)
             assert np.array_equal(np.concatenate([w[half - 1 :: -1], w[:half]]), w_full)
             assert np.all(w[half:] == 0.0)
+
+    @pytest.mark.parametrize("snr_db", [4.0, 40.0, 76.0])
+    @pytest.mark.parametrize("shape", list(SWEEP_SHAPES))
+    def test_kernel_on_the_inner_major_grid_matches_the_outer_major_one(self, shape, snr_db):
+        # the same kernel on the (n, blocks, M) grid and on a (blocks, M, n)
+        # one, whose coefficients broadcast along the last axis
+        sc = sweep_scenario(shape, snr_db)
+        ld, th = derive(sc)
+        g = sc.gains
+        args = (th.g0**2, th.c1, ld.sigma2_x, ld.sigma2_y, ld.sigma2_z, g.omega_y, g.omega_z)
+        _, _, xi, _, _ = exact_metrics._af_rate_rules(exact_metrics._AF_RATE_ORDERS[:2])
+        a, _, k, _ = exact_metrics._opening_layer(sc)
+        q = exact_metrics._af_rate_quartic(a, k, *args)
+        half = np.arccosh(1.0 + 0.5 * exact_metrics._PSI / k)
+        e = np.exp(half * xi[:, None, :])
+        kern = exact_metrics._af_rate_kernel(e, np.reciprocal(e), k, q)
+        e_outer = np.exp(half[..., None] * xi.T)
+        kern_outer = exact_metrics._af_rate_kernel(
+            e_outer, np.reciprocal(e_outer), k[..., None], tuple(c[..., None] for c in q)
+        )
+        assert kern.shape == (xi.shape[0], *a.shape)
+        assert np.array_equal(np.moveaxis(kern, 0, -1), kern_outer)
+
+
+class TestSharedAfLayer:
+    """AF's opening-round outer layer (a, weights, k, b), once per Scenario."""
+
+    ASYMMETRIC = TestSharedUTerms.ASYMMETRIC
+    # 0 dB, r0 = 0.5, ox << oy = oz: both integrals refine past the opening round
+    REFINING = dict(gamma0=1.0, r0=0.5, omegas=(0.01, 100.0, 100.0))
+
+    def test_op_af_then_aor_af_build_the_layer_once(self, monkeypatch):
+        opening = []
+        original = exact_metrics._outer_layer
+
+        def counting(scenario, orders, idx):
+            if orders == exact_metrics._AF_RATE_ORDERS[:2]:
+                opening.append(idx)
+            return original(scenario, orders, idx)
+
+        monkeypatch.setattr(exact_metrics, "_outer_layer", counting)
+        sc = make_scenario(**self.REFINING)
+        op_af(sc)
+        aor_af(sc)
+        metrics(sc, Protocol.AF)
+        assert len(opening) == 1
+        assert np.array_equal(opening[0], np.arange(exact_metrics._outer_panels(sc)[0].size - 1))
+
+    def test_layer_is_kept_read_only_outside_value_identity(self):
+        filled, fresh = make_scenario(**self.ASYMMETRIC), make_scenario(**self.ASYMMETRIC)
+        aor_af(filled)
+        layer = filled.__dict__["_opening_layer"]
+        assert not any(arr.flags.writeable for arr in layer)
+        n_blocks = exact_metrics._outer_panels(fresh)[0].size - 1
+        rebuilt = exact_metrics._outer_layer(fresh, exact_metrics._AF_RATE_ORDERS[:2], np.arange(n_blocks))
+        assert all(np.array_equal(kept, new) for kept, new in zip(layer, rebuilt))
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        assert "_opening_layer" not in dataclasses.replace(filled).__dict__
+
+    def test_panel_range_error_keeps_no_layer(self):
+        # 0 dB, r0 500: the panels refuse g0^2 = 2^1000 - 1
+        sc = Scenario(1.0, 500.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="r0 = 500 b/s/Hz"):
+                exact_metrics._opening_layer(sc)
+        assert sc.__dict__.keys() == {f.name for f in dataclasses.fields(sc)} | {"derived"}
+
+    @pytest.mark.parametrize("fn", [op_af, aor_af])
+    def test_refine_blocks_opens_with_the_kept_layers_orders(self, fn, monkeypatch):
+        # the layer is kept for refine_blocks' first call, orders[:2] over
+        # every block; every later call asks for one order pair
+        calls = []
+        original = exact_metrics.refine_blocks
+
+        def recording(values, n_blocks, orders, tol, what):
+            def recorded(entries, idx):
+                calls.append((entries, idx, n_blocks))
+                return values(entries, idx)
+
+            return original(recorded, n_blocks, orders, tol, what)
+
+        monkeypatch.setattr(exact_metrics, "refine_blocks", recording)
+        fn(make_scenario(**self.REFINING))
+        (orders, idx, n_blocks), *later = calls
+        assert orders == exact_metrics._AF_RATE_ORDERS[:2]
+        assert np.array_equal(idx, np.arange(n_blocks))
+        assert later and all(len(entries) == 1 for entries, _, _ in later)
+
+
+def _masked_one_minus_xk1(x):
+    """1 - x K1(x) by the masked scatter alone: K1 at x >= 1.8, the series below."""
+    out = np.empty_like(x)
+    big = x >= exact_metrics._SERIES_X
+    out[big] = 1.0 - x[big] * special.k1(x[big])
+    h = 0.5 * x[~big]
+    z = h * h
+    powers = np.empty((exact_metrics._SERIES_K.size, z.size))
+    powers[0] = 1.0
+    powers[1] = z
+    n = 2
+    while n < exact_metrics._SERIES_K.size:
+        rows = powers[n : 2 * n]
+        np.multiply(powers[: len(rows)], powers[n // 2] * powers[n // 2], out=rows)
+        n *= 2
+    sums = exact_metrics._SERIES_CD_C @ powers
+    out[~big] = z * (sums[0] - 2.0 * np.log(h) * sums[1])
+    return out
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.geomspace(1e-12, 1.79, 60).reshape(3, 20),
+        np.append(np.geomspace(1e-6, 40.0, 59), 1.8).reshape(3, 20),
+        np.geomspace(1.8, 700.0, 60).reshape(3, 20),
+    ],
+    ids=["all-small", "mixed", "all-large"],
+)
+def test_one_minus_xk1_matches_the_masked_path(x):
+    got = exact_metrics._one_minus_xk1(x)
+    assert got.shape == x.shape
+    assert np.array_equal(got, _masked_one_minus_xk1(x))
 
 
 class TestAsymmetricScenarioPins:

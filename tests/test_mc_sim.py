@@ -495,9 +495,9 @@ class TestValidate:
         _, th = derive(sc)
         g0sq = th.g0**2
         rule = gauss_legendre(512, 0.0, g0sq)
-        exact_c1zero = float(
-            np.sum(rule.weights * np.exp(-(g0sq - rule.nodes)) * _af_relayed_cdf(rule.nodes, 0.0, 1.0, 1.0))
-        )
+        # unit gains and c1 = 0: b = a(1/oy + 1/oz) = 2a and k = sqrt(a(a + c1)/(oy oz)) = a
+        a = rule.nodes
+        exact_c1zero = float(np.sum(rule.weights * np.exp(-(g0sq - a)) * _af_relayed_cdf(2.0 * a, np.sqrt(a * a))))
         rep = validate(sc, Protocol.AF, TraceConfig(n_samples=3_000_000, seed=4), zero_c1=True)
         assert rep.empirical.p_out == pytest.approx(exact_c1zero, rel=0.05)
         # removing the relay-gain floor can only help the relayed path
