@@ -36,10 +36,22 @@ phasors computed directly from the sample index, never by repeated
 phasor multiplication, so rounding error stays at the level of a few
 phase evaluations wherever the sample sits in the trace.
 
-A link envelope is the modulus of gen_complex_gain's gain on the link's
-keyed Philox stream (_link_rng).  gen_m2m_rayleigh draws one from the
-link's own parameters; _link_trace draws link 0, 1 or 2 of a Scenario,
-for gen_link_traces, or straight into its row of validate's trace store.
+A link envelope is the modulus of a complex gain from one generator
+core, _complex_gains, which draws a link for any number R of realizations
+in one call.  Each realization keeps its own keyed Philox stream
+(_link_rng: key (seed, realization, link)) and draws from it in the same
+order as alone.  The ray frequencies, the coefficients, both phasor
+tables and the in-block factor are built once for all R, with one
+realization's arithmetic elementwise along a leading axis.  Each
+realization then runs its own real matrix products into one reused
+complex scratch.  So a realization's gain is bit for bit the same whether
+it is drawn alone or with others, and the batch pays the many small-array
+operations once instead of R times (README "Performance").
+gen_complex_gain is the core's one-realization case.
+gen_m2m_rayleigh draws one envelope from the link's own parameters,
+gen_link_traces draws the three links of a Scenario for one realization
+(_link_gains), and validate's trace store draws each link for every
+realization in one call, writing each modulus straight into its row.
 
 The traces depend on the gains, the Dopplers and the TraceConfig, not on
 the protocol or the SNR.  validate therefore draws each link once per
@@ -103,7 +115,7 @@ __all__ = [
 _TRACE_MAGIC = b"FTRC"
 _BLOCK = 256  # samples per row of the phasor product
 _BLOCK_ROWS = (1 << 20) // _BLOCK  # rows per product: bounds scratch at 2^20 samples
-_SPLIT = 16  # low-table length of a phasor table (see _phasor_table)
+_SPLIT = 16  # low-table length of a phasor table (see _phasor_factors)
 _HYPOT_BAND = 2.0**-48  # relative half-width of _hypot_below's undecided band, 32 unit roundoffs
 _HYPOT_LEVELS = (2.0**-500, 2.0**500)  # levels whose square is decided on squares
 
@@ -177,19 +189,101 @@ def _coprime_stride(n: int) -> int:
     raise ValueError(f"no usable stride for n_sinusoids={n}")
 
 
-def _phasor_table(omega_ray: np.ndarray, step: float, n: int, scale=1.0) -> np.ndarray:
-    """(n x K) table scale_k * e^{i w_k j step}, j < n, from two small tables.
+def _phasor_factors(omega_ray: np.ndarray, step: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two small tables of the phasor table e^{i w_k j step}, j < n, of each row of omega_ray (... x K).
 
-    With j = _SPLIT*j_hi + j_lo, each entry is e^{i w_k _SPLIT j_hi step}
-    times scale_k e^{i w_k j_lo step}: ceil(n/_SPLIT) + _SPLIT complex
-    exponentials per ray instead of n, and every entry is still a product
-    of phasors taken straight from its index, with no recurrence.  The
-    table is C-contiguous, one row per j.
+    With j = _SPLIT*j_hi + j_lo, entry j is hi[j_hi] * lo[j_lo]: hi (... x
+    ceil(n/_SPLIT) x K) holds e^{i w_k _SPLIT j_hi step} and lo (... x
+    _SPLIT x K) holds e^{i w_k j_lo step}.  That is ceil(n/_SPLIT) + _SPLIT
+    complex exponentials per ray instead of n, and every entry is still a
+    product of phasors taken straight from its index, with no recurrence.
     """
-    n_hi = -(-n // _SPLIT)
-    hi = np.exp(1j * np.outer(np.arange(n_hi) * (_SPLIT * step), omega_ray))
-    lo = scale * np.exp(1j * np.outer(np.arange(_SPLIT) * step, omega_ray))
-    return (hi[:, None, :] * lo[None, :, :]).reshape(n_hi * _SPLIT, len(omega_ray))[:n]
+    w = omega_ray[..., None, :]
+    hi = np.exp(1j * ((np.arange(-(-n // _SPLIT)) * (_SPLIT * step))[:, None] * w))
+    lo = np.exp(1j * ((np.arange(_SPLIT) * step)[:, None] * w))
+    return hi, lo
+
+
+def _in_block(omega_ray: np.ndarray, coef: np.ndarray, dt: float) -> np.ndarray:
+    """In-block factors (R x 2K x 2*_BLOCK float64) of R ray sets: row 2k is U_k, row 2k+1 is V_k.
+
+    U_k = c E + c' conj(E) and V_k = i c E - i c' conj(E) over tau = j dt,
+    j < _BLOCK, viewed as float64; a ray with no partner (k >= N - K, every
+    k for an odd count) has c' = 0.  The result takes R K 8 KiB; while it
+    is built, E and one product take R K 4 KiB each.  They are freed on
+    return, before _complex_gains allocates its scratch, where a local of
+    the generator would live until its last realization.
+    """
+    n_real, n_tab = omega_ray.shape
+    hi, lo = _phasor_factors(omega_ray, dt, _BLOCK)
+    # e[r, k, j] = E_k(j dt), one contiguous row per ray, as the rows of uv
+    e = np.empty((n_real, n_tab, hi.shape[1], _SPLIT), dtype=np.complex128)
+    np.multiply(hi.swapaxes(1, 2)[..., None], lo.swapaxes(1, 2)[..., None, :], out=e)
+    e = e.reshape(n_real, n_tab, -1)[..., :_BLOCK]
+    uv = (coef[:, :n_tab, None] * [1.0, 1j])[..., None] * e[:, :, None, :]
+    n_pairs = coef.shape[1] - n_tab  # no partners for an odd count
+    partner = (coef[:, n_tab:, None] * [1.0, -1j])[..., None]  # c', -i c'
+    conj_e = np.conj(e[:, :n_pairs], out=e[:, :n_pairs])  # E is spent: conj(E) takes its place
+    uv[:, :n_pairs, 0] += partner[:, :, 0] * conj_e
+    uv[:, :n_pairs, 1] += np.multiply(partner[:, :, 1], conj_e, out=conj_e)  # last use of conj(E)
+    return uv.reshape(n_real, 2 * n_tab, _BLOCK).view(np.float64)
+
+
+def _complex_gains(
+    omega: float,
+    f_tx: float,
+    f_rx: float,
+    n_samples: int,
+    dt: float,
+    rngs,
+    n_sinusoids: int,
+):
+    """Complex gains of one link, one realization per stream of rngs, yielded in turn.
+
+    The batched core of gen_complex_gain, which is its one-stream case.
+    Each stream draws (u_alpha, u_beta) and then the N phases.  The ray
+    frequencies (R x N/2, or R x N for an odd count), the coefficients
+    (R x N), the in-block factor [U; V] (_in_block) and the block-start
+    factor of every product are each built once for all R streams, with
+    one stream's arithmetic elementwise along a leading axis, so every
+    gain is bit-identical to a one-stream draw.  Then each realization
+    runs its real matrix products, one per product of at most _BLOCK_ROWS
+    blocks, into one complex scratch array, and each yielded gain is a
+    view of that scratch, which the next realization overwrites.  Beyond
+    the one trace of scratch, the tables take R K 8 KiB for [U; V] and
+    R K n/16 bytes for the block starts (K rays in the tables, n samples
+    rounded up to whole products): at 32 rays and 65,536 samples, 128 KiB
+    and 64 KiB per realization against the 1 MiB scratch.
+    """
+    n_real = len(rngs)
+    u = np.empty((n_real, 2))
+    phi = np.empty((n_real, n_sinusoids))
+    for r, rng in enumerate(rngs):
+        u[r] = rng.uniform(0.0, 1.0, 2)
+        phi[r] = rng.uniform(0.0, 2.0 * np.pi, n_sinusoids)
+    n_tab = n_sinusoids // 2 if n_sinusoids % 2 == 0 else n_sinusoids  # rays in the tables
+    idx = np.arange(n_tab)
+    stride = _coprime_stride(n_sinusoids)
+    alpha = 2.0 * np.pi * (idx + u[:, :1]) / n_sinusoids
+    beta = 2.0 * np.pi * ((stride * idx) % n_sinusoids + u[:, 1:]) / n_sinusoids
+    omega_ray = 2.0 * np.pi * (f_tx * np.cos(alpha) + f_rx * np.cos(beta))
+    coef = np.sqrt(omega / n_sinusoids) * np.exp(1j * phi)  # c_k, then c'_k of the partners
+    in_block = _in_block(omega_ray, coef, dt)
+    n_blocks = -(-n_samples // _BLOCK)
+    b0s = range(0, n_blocks, _BLOCK_ROWS)
+    # block starts: product c's first-sample phasor times the split table of its row index
+    start = np.exp(1j * (omega_ray[:, None, :] * (np.asarray(b0s) * _BLOCK * dt)[:, None]))
+    hi, lo = _phasor_factors(omega_ray, _BLOCK * dt, min(_BLOCK_ROWS, n_blocks))
+    lo = start[:, :, None, :] * lo[:, None]
+    block_start = (hi[:, None, :, None, :] * lo[:, :, None]).reshape(n_real, len(b0s), -1, n_tab)
+    out = np.empty(n_blocks * _BLOCK, dtype=np.complex128)
+    rows = out.view(np.float64).reshape(n_blocks, 2 * _BLOCK)
+    for r in range(n_real):
+        for c, b0 in enumerate(b0s):
+            b1 = min(b0 + _BLOCK_ROWS, n_blocks)
+            # columns Re(s_k), Im(s_k) interleaved, as the rows of in_block
+            np.matmul(block_start[r, c, : b1 - b0].view(np.float64), in_block[r], out=rows[b0:b1])
+        yield out[:n_samples]
 
 
 def gen_complex_gain(
@@ -208,6 +302,10 @@ def gen_complex_gain(
     and normalised so E[|h|^2] = omega, which gives each quadrature the
     autocorrelation (omega/2) * J0(2*pi*f_tx*tau) * J0(2*pi*f_rx*tau).
 
+    This is the one-realization case of the batched core _complex_gains,
+    which draws the same gain, bit for bit, when it draws rng's
+    realization together with others.
+
     The transmit and receive angle sets are equi-spaced grids with
     independent random rotations, paired through a coprime stride.  The grid
     kills the ray-sampling noise of the per-realization gain-derivative
@@ -223,7 +321,7 @@ def gen_complex_gain(
     docstring) into one real matrix product at half the flops of a complex
     one.  An odd count has no partners: the same product with c' = 0 does
     a complex product's flops.  The block-start and in-block phasors are
-    products of entries of two small tables (_phasor_table), each taken
+    products of entries of two small tables (_phasor_factors), each taken
     straight from the sample index, so the deviation from a per-ray cos/sin
     sum with antipodal frequencies is the rounding of a few phase arguments
     (within 2.4e-12 at 65,537 samples and 3.4e-11 at 1.05e6 samples, 16 to
@@ -231,31 +329,7 @@ def gen_complex_gain(
     one rounding, about 1e-16 relative; against the unfolded frequencies
     the deviation is within 3.2e-12 and 5.9e-11.
     """
-    u_alpha, u_beta = rng.uniform(0.0, 1.0, 2)
-    n_tab = n_sinusoids // 2 if n_sinusoids % 2 == 0 else n_sinusoids  # rays in the tables
-    idx = np.arange(n_tab)
-    r = _coprime_stride(n_sinusoids)
-    alpha = 2.0 * np.pi * (idx + u_alpha) / n_sinusoids
-    beta = 2.0 * np.pi * ((r * idx) % n_sinusoids + u_beta) / n_sinusoids
-    phi = rng.uniform(0.0, 2.0 * np.pi, n_sinusoids)
-    omega_ray = 2.0 * np.pi * (f_tx * np.cos(alpha) + f_rx * np.cos(beta))
-    coef = np.sqrt(omega / n_sinusoids) * np.exp(1j * phi)  # c_k, then c'_k of the partners
-    # in-block table: row 2k is U_k = c E + c' conj(E), row 2k+1 is V_k = i c E - i c' conj(E)
-    e = _phasor_table(omega_ray, dt, _BLOCK).T
-    uv = (coef[:n_tab, None] * [1.0, 1j])[:, :, None] * e[:, None, :]
-    n_pairs = n_sinusoids - n_tab  # no partners for an odd count
-    uv[:n_pairs] += (coef[n_tab:, None] * [1.0, -1j])[:, :, None] * e[:n_pairs, None, :].conj()
-    in_block = uv.reshape(2 * n_tab, _BLOCK).view(np.float64)
-    n_blocks = -(-n_samples // _BLOCK)
-    out = np.empty(n_blocks * _BLOCK, dtype=np.complex128)
-    rows = out.view(np.float64).reshape(n_blocks, 2 * _BLOCK)
-    for b0 in range(0, n_blocks, _BLOCK_ROWS):
-        b1 = min(b0 + _BLOCK_ROWS, n_blocks)
-        start = np.exp(1j * (omega_ray * (b0 * _BLOCK * dt)))
-        # columns Re(s_k), Im(s_k) interleaved, as the rows of in_block
-        block_start = _phasor_table(omega_ray, _BLOCK * dt, b1 - b0, start).view(np.float64)
-        np.matmul(block_start, in_block, out=rows[b0:b1])
-    return out[:n_samples]
+    return next(_complex_gains(omega, f_tx, f_rx, n_samples, dt, (rng,), n_sinusoids))
 
 
 def gen_m2m_rayleigh(
@@ -303,21 +377,21 @@ def scenario_dt(scenario: Scenario, cfg: TraceConfig) -> float:
     return 1.0 / (cfg.oversampling * spread)
 
 
-def _link_trace(
-    scenario: Scenario, cfg: TraceConfig, dt: float, realization: int, link: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Envelope samples of link 0 (S->D), 1 (S->R) or 2 (R->D) on its own keyed stream, into out if given.
+def _link_gains(scenario: Scenario, cfg: TraceConfig, dt: float, link: int, realizations):
+    """Complex gains of link 0 (S->D), 1 (S->R) or 2 (R->D) in each realization, yielded in turn.
 
-    The same samples as gen_m2m_rayleigh(..., dt=dt, realization=realization,
-    link=link) for that link; a static link raises StaticLinkError.
+    Each realization draws on its own keyed stream (_link_rng), all of them
+    through one batched call (_complex_gains), so the envelope of each is
+    the samples of gen_m2m_rayleigh(..., dt=dt, realization=r, link=link)
+    for that link.  A static link raises StaticLinkError before any draw.
     """
     d, g = scenario.dopplers, scenario.gains
     omega = (g.omega_x, g.omega_y, g.omega_z)[link]
     f_tx, f_rx = ((d.f_s, d.f_d), (d.f_s, d.f_r), (d.f_r, d.f_d))[link]
     if f_tx + f_rx <= 0.0:
         raise StaticLinkError("both terminal Dopplers are zero")
-    h = gen_complex_gain(omega, f_tx, f_rx, cfg.n_samples, dt, _link_rng(cfg.seed, realization, link), cfg.n_sinusoids)
-    return np.abs(h, out=out)
+    rngs = [_link_rng(cfg.seed, r, link) for r in realizations]
+    return _complex_gains(omega, f_tx, f_rx, cfg.n_samples, dt, rngs, cfg.n_sinusoids)
 
 
 def gen_link_traces(
@@ -330,7 +404,10 @@ def gen_link_traces(
     raises StaticLinkError.
     """
     dt = scenario_dt(scenario, cfg)
-    return tuple(FadingTrace(dt=dt, samples=_link_trace(scenario, cfg, dt, realization, link)) for link in range(3))
+    return tuple(
+        FadingTrace(dt=dt, samples=np.abs(next(_link_gains(scenario, cfg, dt, link, (realization,)))))
+        for link in range(3)
+    )
 
 
 @dataclass
@@ -359,7 +436,9 @@ def _trace_store(scenario: Scenario, cfg: TraceConfig, dt: float, links: int) ->
     store, envelope array included, so a scenario holds at most one
     (3 * n_realizations * n_samples float64, 6.3 MB at 4 x 65,536; see the
     module docstring for why it is one array).  Each missing link is drawn
-    for every realization into its rows (_link_trace).  The array is
+    for every realization in one call into the generator core
+    (_link_gains), and the modulus of each realization's gain is written
+    straight into its row.  The array is
     writeable only while a call draws, so readers, which every protocol
     shares, see it read-only, also after a draw that raises; such a draw,
     as that of a static link, leaves its link undrawn.
@@ -371,8 +450,9 @@ def _trace_store(scenario: Scenario, cfg: TraceConfig, dt: float, links: int) ->
         store.envelopes.setflags(write=True)
         try:
             for link in range(store.links, links):
-                for r, row in enumerate(store.envelopes[:, link]):
-                    _link_trace(scenario, cfg, dt, r, link, out=row)
+                gains = _link_gains(scenario, cfg, dt, link, range(cfg.n_realizations))
+                for row in store.envelopes[:, link]:  # no loop variable keeps a gain's scratch past its link
+                    np.abs(next(gains), out=row)
                 store.links = link + 1
         finally:
             store.envelopes.setflags(write=False)
@@ -644,7 +724,8 @@ def validate(
     (_outage_mask: sample by sample the same test as equivalent_gain(...)
     < level), merges the counts of each mask (CrossingCounts.from_mask),
     and reports relative deviations against the analytical values.  Each
-    link is drawn on first use, for every realization at once, and kept on
+    link is drawn on first use, for every realization in one batched
+    generator call (bit-identical to drawing them one by one), and kept on
     the scenario for later calls under the same cfg (_trace_store), so
     every protocol of one scenario composes the same samples as
     gen_link_traces would draw; DF and SR also share one kept mask U < g0

@@ -711,6 +711,27 @@ class TestAuxiliaryGainStatistics:
     def test_lcr_u_against_mpmath(self, case, rate):
         assert lcr_u(*case) == pytest.approx(rate, rel=1e-13, abs=0.0)
 
+    # (g0, ox, oz, sigma2_x, sigma2_z, rate): 60-digit mpmath of the
+    # integral in lcr_u's docstring at the same doubles, where both gaps are
+    # small: variances 1e-5 and 1e-2 apart (either side of sigma2_x = 1)
+    # and c gaps cz - cx = d, oz = 1/(1 + d), d = 1.0001, 2.32, 10, 100.
+    # An earlier signed closed form cancelled in this corner (up to 2.7e-10)
+    @pytest.mark.parametrize(
+        "case, rate",
+        [
+            ((1.0, 1.0, 0.49997500124993755, 1.0, 1.00001), 0.37109060399035176149),
+            ((1.0, 1.0, 0.49997500124993755, 1.0, 0.99), 0.37031303944299924723),
+            ((1.0, 1.0, 0.30120481927710846, 1.0, 0.99999), 0.37876493879958765416),
+            ((1.0, 1.0, 0.30120481927710846, 1.0, 1.01), 0.37937466130084862847),
+            ((1.0, 1.0, 0.09090909090909091, 1.0, 1.00001), 0.32286336170833464574),
+            ((1.0, 1.0, 0.09090909090909091, 1.0, 0.99), 0.32270176142705051216),
+            ((1.0, 1.0, 0.009900990099009901, 1.0, 0.99999), 0.29646056478792487619),
+            ((1.0, 1.0, 0.009900990099009901, 1.0, 1.01), 0.29647540189889484147),
+        ],
+    )
+    def test_lcr_u_where_both_gaps_are_small(self, case, rate):
+        assert lcr_u(*case) == pytest.approx(rate, rel=1e-13, abs=0.0)
+
     # (g0, ox, oz, sigma2_x, sigma2_z, rate, rel): 50-digit mpmath where the
     # direct evaluation under- or overflows.  As ox -> 0 (or oz -> 0) the
     # rate tends to the other link's Rayleigh rate, rayleigh_lcr(1, 1, 2) =

@@ -524,22 +524,26 @@ class TestTraceReuse:
 
     @pytest.fixture
     def draws(self, monkeypatch):
+        """Per call into the batched generator core, the (link, realization) gains it drew."""
         calls = []
-        original = mc_sim.gen_complex_gain
+        original = mc_sim._complex_gains
 
         def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            calls.append(0)
+            for gain in original(*args, **kwargs):
+                calls[-1] += 1
+                yield gain
 
-        monkeypatch.setattr(mc_sim, "gen_complex_gain", counting)
+        monkeypatch.setattr(mc_sim, "_complex_gains", counting)
         return calls
 
     def test_all_protocols_draw_each_link_once(self, draws):
         sc = self.scenario()
         for protocol in Protocol:
             validate(sc, protocol, self.CFG)
-        # 3 links x 2 realizations; drawing per call would take 2 + 3 * 6 = 20
-        assert len(draws) == 6
+        # 3 links x 2 realizations, one call per link; drawing per call would take 2 + 3 * 6 = 20
+        assert sum(draws) == 6
+        assert draws == [self.CFG.n_realizations] * 3
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_shared_scenario_matches_fresh_copy(self, protocol):
@@ -655,7 +659,42 @@ class TestTraceReuse:
         with pytest.raises(StaticLinkError):
             validate(sc, Protocol.AF, self.CFG)
         assert validate(sc, Protocol.DIRECT, self.CFG) == first
-        assert len(draws) == self.CFG.n_realizations
+        assert sum(draws) == self.CFG.n_realizations
+        assert draws == [self.CFG.n_realizations]
+
+
+class TestBatchedDraws:
+    """Each row of a batched draw is, bit for bit, the one-realization draw of its link."""
+
+    SCENARIO = Scenario(gamma0=10.0, r0=0.5, gains=LinkGains(1.0, 2.0, 0.5), dopplers=NodeDopplers(1.0, 0.3, 0.7))
+    LINKS = ((1.0, 1.0, 0.7), (2.0, 1.0, 0.3), (0.5, 0.3, 0.7))  # (omega, f_tx, f_rx) of S->D, S->R, R->D
+
+    def assert_rows_are_single_draws(self, n_sinusoids, n_realizations):
+        cfg = TraceConfig(n_samples=65_536, seed=8, n_sinusoids=n_sinusoids, n_realizations=n_realizations)
+        sc = dataclasses.replace(self.SCENARIO)  # a fresh instance: the store lives on it
+        dt = mc_sim.scenario_dt(sc, cfg)
+        envelopes = mc_sim._trace_store(sc, cfg, dt, 3).envelopes
+        for r in range(n_realizations):
+            for link, (omega, f_tx, f_rx) in enumerate(self.LINKS):
+                single = gen_m2m_rayleigh(omega, f_tx, f_rx, cfg, dt=dt, realization=r, link=link)
+                assert np.array_equal(envelopes[r, link], single.samples)
+
+    @pytest.mark.parametrize("n_realizations", [1, 3])
+    @pytest.mark.parametrize("n_sinusoids", [16, 17, 32, 64])
+    def test_store_rows_are_single_draws(self, n_sinusoids, n_realizations):
+        self.assert_rows_are_single_draws(n_sinusoids, n_realizations)
+
+    @pytest.mark.parametrize("n_sinusoids", [17, 32])
+    def test_store_rows_are_single_draws_over_several_products(self, monkeypatch, n_sinusoids):
+        # 65,536 samples are 256 blocks: 48 rows per product make five full
+        # products and a last one of 16 rows, each with its own start phasor
+        monkeypatch.setattr(mc_sim, "_BLOCK_ROWS", 48)
+        self.assert_rows_are_single_draws(n_sinusoids, 3)
+        args = (1.3, 1.0, 0.7, 65_536, 1.0 / (64 * 1.7))
+        key = [11, n_sinusoids]
+        h = gen_complex_gain(*args, np.random.Generator(np.random.Philox(key=key)), n_sinusoids)
+        ref = per_ray_gain(*args, np.random.Generator(np.random.Philox(key=key)), n_sinusoids)
+        assert float(np.max(np.abs(h - ref))) <= 1e-10
 
 
 class TestHypotBelow:
